@@ -33,7 +33,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
 
-_WHITESPACE = frozenset(b" \t\r\n\v\f")
+_WHITESPACE = b" \t\r\n\v\f"
+# Byte-table entries that are not letter codes.
+_SKIP = -2
+_INVALID = -1
 
 
 @dataclass(frozen=True)
@@ -69,28 +72,30 @@ class NormalizationPolicy:
         return len(self.alphabet)
 
     def normalize(self, data: bytes) -> np.ndarray:
-        codes = {ord(ch): i for i, ch in enumerate(self.alphabet)}
-        # Folding maps input onto the alphabet's own case.
-        fold_to_lower = self.fold_case and any(ch.islower() for ch in self.alphabet)
-        out = []
-        for offset, byte in enumerate(data):
-            if byte in _WHITESPACE:
-                continue
-            if self.fold_case:
-                if fold_to_lower and 0x41 <= byte <= 0x5A:
-                    byte += 0x20
-                elif not fold_to_lower and 0x61 <= byte <= 0x7A:
-                    byte -= 0x20
-            code = codes.get(byte)
-            if code is None:
-                if self.on_invalid == "error":
-                    raise NormalizationError(
-                        f"byte {bytes([byte])!r} at offset {offset} is not in the alphabet",
-                        offset,
-                    )
-                continue
-            out.append(code)
-        return np.array(out, dtype=np.uint8 if self.alphabet_size <= 256 else np.int32)
+        looked_up = self._code_table()[np.frombuffer(data, dtype=np.uint8)]
+        if self.on_invalid == "error":
+            bad = np.flatnonzero(looked_up == _INVALID)
+            if bad.size:
+                offset = int(bad[0])
+                raise NormalizationError(
+                    f"byte {data[offset:offset + 1]!r} at offset {offset} is not in the alphabet",
+                    offset,
+                )
+        return looked_up[looked_up >= 0].astype(np.uint8)
+
+    def _code_table(self) -> np.ndarray:
+        """Code of every byte value: its letter code, _SKIP or _INVALID."""
+        table = np.full(256, _INVALID, dtype=np.int16)
+        table[[ord(ch) for ch in self.alphabet]] = np.arange(self.alphabet_size)
+        if self.fold_case:
+            # Folding maps input onto the alphabet's own case.
+            upper, lower = slice(0x41, 0x5B), slice(0x61, 0x7B)
+            if any(ch.islower() for ch in self.alphabet):
+                table[upper] = table[lower]
+            else:
+                table[lower] = table[upper]
+        table[list(_WHITESPACE)] = _SKIP
+        return table
 
 
 def _policy_from_args(args) -> NormalizationPolicy:

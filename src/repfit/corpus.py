@@ -13,11 +13,26 @@ aligned positions.  Two kinds of repeat counts are derived:
   sides.  They follow from the apparent counts via
   N_r = M_r - 2*M_{r+1} + M_{r+2}.
 
-Apparent counts are computed with one lexicographic sort of all N circular
-grams of the highest order: entries that agree on their first r symbols are
-adjacent after the sort, so every M_r for r below the sort order falls out
-of one pass over the sorted table.  The result is exact integer arithmetic,
-identical to comparing all N(N-1)/2 rotation pairs directly.
+Apparent counts come from one sort of packed gram keys.  Every circular
+r_max-gramme becomes a big-endian bit string of bits = max(1, ceil(log2 c))
+bits per symbol, first symbol in the most significant bits, held in
+ceil(bits * r_max / 64) uint64 words: one word up to 12 symbols at c=26 or
+32 at c=4.  Unsigned order of the keys is lexicographic order of the grams,
+so after the sort every group of grams sharing an r-prefix is contiguous,
+for every r at once.  The XOR of two adjacent sorted keys is zero on the
+bits where they agree, so its first set bit falls in the first symbol where
+the grams differ: they share their first r symbols exactly when no bit of
+the XOR among the first bits*r is set.  Each M_r is read off that adjacency
+mask.  The result is exact integer arithmetic, identical to comparing all
+N(N-1)/2 rotation pairs directly.
+
+Memory per letter, beyond the codes themselves: the keys take 8 bytes per
+word, and the XOR of adjacent keys as much again while both exist; once the
+keys are dropped, counting one M_r adds 2 bytes of masks and 16 bytes per
+group boundary.  With one-word keys that peaks at 16 bytes per letter, or
+up to 26 when almost every r_max-gramme in the corpus is distinct.  Longer
+keys are sorted through a permutation, which brings the peak to 8 + 16
+bytes per word (40 at two words).
 
 Card accounting for the urn model: each comparison consumes one card per
 flanked run plus one card per remaining no-coincidence cell, so the corpus
@@ -32,7 +47,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError, ValidationError
 
@@ -48,6 +62,8 @@ __all__ = [
     "stats_to_json",
 ]
 
+_WORD_BITS = 64
+
 
 @dataclass(frozen=True)
 class CircularCorpus:
@@ -62,6 +78,8 @@ class CircularCorpus:
             raise ValidationError("corpus codes must be one-dimensional")
         if self.alphabet_size < 1:
             raise ValidationError(f"alphabet size must be >= 1, got {self.alphabet_size}")
+        if codes.size and (codes.min() < 0 or codes.max() >= self.alphabet_size):
+            raise ValidationError(f"corpus codes must lie in 0..{self.alphabet_size - 1}")
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
 
@@ -139,18 +157,65 @@ def build_corpus(texts: Sequence[Sequence[int]], alphabet_size: int) -> Circular
 
 def _pair_count_from_adjacency(same: np.ndarray) -> int:
     # Sorted rows split into groups at every adjacent mismatch; a group of
-    # size n contributes n(n-1)/2 pairs.
-    breaks = np.flatnonzero(~same)
-    edges = np.concatenate(([-1], breaks, [same.size]))
-    sizes = np.diff(edges)
-    return int(np.sum(sizes * (sizes - 1) // 2))
+    # size s contributes s(s-1)/2 pairs.  The sizes sum to the row count,
+    # so the total is (sum s^2 - sum s) / 2.
+    breaks = np.empty(same.size + 2, dtype=bool)
+    breaks[0] = breaks[-1] = True
+    np.logical_not(same, out=breaks[1:-1])
+    sizes = np.diff(np.flatnonzero(breaks))
+    return int((np.dot(sizes, sizes) - (same.size + 1)) // 2)
+
+
+def _packed_grams(codes: np.ndarray, bits: int, r_max: int) -> list[np.ndarray]:
+    """Each circular r_max-gram as a big-endian bit string in uint64 words.
+
+    Symbol j of the gram at position i occupies bits [bits*j, bits*(j+1)) of
+    the string, counted from the most significant bit of the first word; a
+    symbol may straddle two words, and the last word is padded with zero
+    bits on the right.  Words are filled with in-place shifts and ORs of
+    one symbol column at a time, so no temporary is wider than a symbol.
+    """
+    n = codes.size
+    doubled = np.concatenate([codes, codes[: r_max - 1]])
+    words = [np.zeros(n, dtype=np.uint64)]
+    free = _WORD_BITS  # low bits of the last word not yet filled
+    for j in range(r_max):
+        symbol = doubled[j : j + n]
+        spill = bits - free  # low bits of the symbol that start the next word
+        if spill > 0:
+            words[-1] <<= free
+            words[-1] |= symbol >> spill
+            words.append(np.zeros(n, dtype=np.uint64))
+            words[-1] |= symbol & ((1 << spill) - 1)
+            free = _WORD_BITS - spill
+        else:
+            words[-1] <<= bits
+            words[-1] |= symbol
+            free -= bits
+    words[-1] <<= free
+    return words
 
 
 def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     """M_r for r = 1..r_max: unordered pairs of equal circular r-grammes.
 
-    One lexicographic sort of the N circular r_max-grammes; every lower-order
-    count is read off the first r symbols of adjacent sorted entries.
+    Every circular r_max-gramme is packed into a key of
+    ceil(bits * r_max / 64) uint64 words, bits = max(1, ceil(log2 c)) per
+    symbol, first symbol in the most significant bits.  Unsigned order of
+    the keys is lexicographic order of the grams, so one sort (an in-place
+    ``sort`` of a one-word key, a ``lexsort`` over the word columns of a
+    longer one) puts grams with a common r-prefix next to each other for
+    every r at once.  Two adjacent sorted keys share their first r symbols
+    exactly when their XOR has no set bit among the first bits*r bits: the
+    words wholly inside that prefix XOR to zero and the word holding its end
+    XORs to less than 2^(unused low bits).  M_r is then read off that
+    adjacency mask.
+
+    Peak memory per letter is 16 bytes for one-word keys (the keys and
+    their adjacent XOR), up to 26 when nearly every gram is distinct (the
+    XOR, two masks, and 16 bytes per group boundary while one M_r is
+    counted); longer keys peak at 8 + 16 bytes per word while they are
+    sorted and gathered.
     """
     n = corpus.n_letters
     if r_max < 1:
@@ -158,16 +223,31 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     if r_max >= n:
         raise ValidationError(f"r_max must be below the corpus length ({r_max} >= {n})")
 
-    doubled = np.concatenate([corpus.codes, corpus.codes[: r_max - 1]]) if r_max > 1 else corpus.codes
-    grams = sliding_window_view(doubled, r_max)[:n]
-    order = np.lexsort(tuple(grams[:, j] for j in range(r_max - 1, -1, -1)))
-    table = grams[order]
+    c = corpus.alphabet_size
+    bits = max(1, (c - 1).bit_length())
+    symbols = corpus.codes.astype(np.min_scalar_type(c - 1), copy=False)
+    words = _packed_grams(symbols, bits, r_max)
+    if len(words) == 1:
+        words[0].sort()
+    else:
+        # lexsort radix-sorts 16-bit keys but merge-sorts wider ones, so it
+        # is given the 16-bit pieces of every word, least significant first.
+        order = np.lexsort([(word >> shift).astype(np.uint16)
+                            for word in reversed(words) for shift in (0, 16, 32, 48)])
+        words = [word[order] for word in words]
+        del order
+    diffs = [word[1:] ^ word[:-1] for word in words]
+    del words
 
-    mismatch = table[1:] != table[:-1]
-    any_mismatch = mismatch.any(axis=1)
-    first_diff = np.where(any_mismatch, mismatch.argmax(axis=1), r_max)
-
-    return [_pair_count_from_adjacency(first_diff >= r) for r in range(1, r_max + 1)]
+    counts = []
+    for r in range(1, r_max + 1):
+        end = bits * r
+        last = (end - 1) // _WORD_BITS
+        same = diffs[last] < (1 << (_WORD_BITS * (last + 1) - end))
+        for diff in diffs[:last]:
+            same &= diff == 0
+        counts.append(_pair_count_from_adjacency(same))
+    return counts
 
 
 def actual_counts(apparent: Sequence[int]) -> list[int]:

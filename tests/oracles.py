@@ -2,7 +2,9 @@
 
 Everything here deliberately takes the slow, direct route: pairwise
 comparisons over all rotation positions, exhaustive enumeration of figures,
-and hand-rolled scans.  None of it shares code with the package.
+and hand-rolled scans.  None of it shares code with the package; the
+normalizer raises the package's own exception type so that its errors can
+be compared field by field.
 """
 
 from __future__ import annotations
@@ -10,6 +12,38 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import comb, factorial
+
+import numpy as np
+
+from repfit.errors import NormalizationError
+
+
+def normalize_oracle(policy, data: bytes) -> np.ndarray:
+    """Letter codes of raw corpus bytes under a normalization policy, one byte
+    at a time: skip whitespace, fold case toward the alphabet, look the byte
+    up, and strip or report (with the raw input byte) whatever is left."""
+    codes = {ord(ch): i for i, ch in enumerate(policy.alphabet)}
+    fold_to_lower = policy.fold_case and any(ch.islower() for ch in policy.alphabet)
+    out = []
+    for offset, raw in enumerate(data):
+        if raw in b" \t\r\n\v\f":
+            continue
+        byte = raw
+        if policy.fold_case:
+            if fold_to_lower and 0x41 <= byte <= 0x5A:
+                byte += 0x20
+            elif not fold_to_lower and 0x61 <= byte <= 0x7A:
+                byte -= 0x20
+        code = codes.get(byte)
+        if code is None:
+            if policy.on_invalid == "error":
+                raise NormalizationError(
+                    f"byte {bytes([raw])!r} at offset {offset} is not in the alphabet",
+                    offset,
+                )
+            continue
+        out.append(code)
+    return np.array(out, dtype=np.uint8 if policy.alphabet_size <= 256 else np.int32)
 
 
 def circular_gram(circle, i: int, r: int) -> tuple:

@@ -1,7 +1,16 @@
 import json
 import math
+import string
 
-from repfit.cli import main
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repfit.cli import NormalizationPolicy, main
+from repfit.errors import NormalizationError
+
+from oracles import normalize_oracle
 
 HATTED_A = 25 / 26
 
@@ -81,6 +90,41 @@ def test_stats_rejects_bad_byte_with_offset(tmp_path, capsys):
     code, _, err = run(capsys, "stats", corpus, "--error")
     assert code == 3
     assert "offset 2" in err
+
+
+def test_stats_reports_the_raw_byte_not_its_folded_case(tmp_path, capsys):
+    corpus = write(tmp_path, "corpus.txt", "abY\n")
+    code, _, err = run(capsys, "stats", corpus, "--alphabet", "abc")
+    assert code == 3
+    assert "b'Y'" in err
+    assert "offset 2" in err
+
+
+_NORMALIZE_BYTES = (string.ascii_letters + string.digits + string.punctuation
+                    + " \t\r\n\v\f").encode() + b"\x00\x80\xc3\xe9\xff"
+
+
+@given(
+    data=st.binary(max_size=60).map(
+        lambda raw: bytes(_NORMALIZE_BYTES[b % len(_NORMALIZE_BYTES)] for b in raw)
+    ) | st.binary(max_size=60),
+    alphabet=st.sampled_from([string.ascii_uppercase, "abc", "ACGT", string.digits]),
+    fold_case=st.booleans(),
+    on_invalid=st.sampled_from(["strip", "error"]),
+)
+def test_table_normalize_matches_per_byte_oracle(data, alphabet, fold_case, on_invalid):
+    policy = NormalizationPolicy(alphabet=alphabet, fold_case=fold_case, on_invalid=on_invalid)
+    try:
+        expected = normalize_oracle(policy, data)
+    except NormalizationError as exc:
+        with pytest.raises(NormalizationError) as caught:
+            policy.normalize(data)
+        assert caught.value.offset == exc.offset
+        assert str(caught.value) == str(exc)
+        return
+    got = policy.normalize(data)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
 
 
 def test_stats_strip_mode_drops_bad_bytes(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repfit.corpus import (
+    CircularCorpus,
     RepeatStatistics,
     actual_counts,
     apparent_counts,
@@ -133,13 +134,43 @@ def test_statistics_reject_card_deficit():
                          apparent=(10, 7, 3, 0), actual=(4, 3))
 
 
-def test_apparent_and_actual_match_oracles_on_random_circles():
-    rng = random.Random(0xC0DE)
+def near_periodic_circle(rng: random.Random, n: int, c: int) -> list[int]:
+    """A short block repeated around the circle with one bit of one letter
+    flipped: long repeats that end where the grams first differ in a single
+    bit, wherever that bit falls in a packed key."""
+    block = random_circle(rng, rng.randrange(2, 6), c)
+    circle = [block[i % len(block)] for i in range(n)]
+    k = rng.randrange(n)
+    flipped = circle[k] ^ (1 << rng.randrange(max(1, (c - 1).bit_length())))
+    if flipped < c:
+        circle[k] = flipped
+    return circle
+
+
+def _oracle_cases(rng: random.Random):
+    """(circle, c, r_max) triples: one-word keys at the default order, keys
+    of two words (c=26 at r_max 13-14, c=200 at r_max 9), the smallest
+    alphabets, and the longest order a circle allows."""
     for _ in range(30):
         n = rng.randrange(4, 40)
         c = rng.choice([2, 3, 4, 26])
-        circle = random_circle(rng, n, c)
-        r_max = min(9, n - 1)
+        yield random_circle(rng, n, c), c, min(9, n - 1)
+    for make in (random_circle, near_periodic_circle):
+        for _ in range(10):
+            n = rng.randrange(15, 40)
+            yield make(rng, n, 26), 26, rng.choice([13, 14])
+            yield make(rng, n, 200), 200, 9
+        for _ in range(10):
+            n = rng.randrange(2, 30)
+            yield [0] * n, 1, rng.randrange(1, n)
+            yield make(rng, n, 2), 2, n - 1
+            c = rng.choice([3, 26, 200])
+            yield make(rng, n, c), c, n - 1
+
+
+def test_apparent_and_actual_match_oracles_on_random_circles():
+    rng = random.Random(0xC0DE)
+    for circle, c, r_max in _oracle_cases(rng):
         corpus = build_corpus([circle], c)
         apparent = apparent_counts(corpus, r_max)
         assert apparent == apparent_oracle(circle, r_max)
@@ -231,6 +262,15 @@ def test_stats_artifact_rejects_missing_field():
         stats_from_json('{"N": 5}')
 
 
+def test_corpus_rejects_codes_outside_its_alphabet():
+    # The census packs each code into ceil(log2 c) bits, so a code >= c
+    # would silently merge with another gram.
+    with pytest.raises(ValidationError, match="0..3"):
+        CircularCorpus(np.array([0, 1, 4]), 4)
+    with pytest.raises(ValidationError, match="0..3"):
+        CircularCorpus(np.array([0, -1, 2]), 4)
+
+
 def test_corpus_codes_are_read_only():
     corpus = build_corpus([codes("ABCAB")], 26)
     with pytest.raises(ValueError):
@@ -261,3 +301,15 @@ def test_large_corpus_uses_one_sort():
     assert all(a >= b for a, b in zip(m, m[1:]))
     # Uniform material roughly quarters per order.
     assert 0.2 < m[1] / m[0] < 0.3
+
+
+def test_census_identities_at_a_million_letters():
+    # No oracle: M_1 is fixed by the letter counts alone, the spectrum is
+    # non-increasing, and every actual count is non-negative.
+    rng = np.random.default_rng(26)
+    corpus = build_corpus([rng.integers(0, 26, size=1_000_000)], 26)
+    stats = compute_statistics(corpus, 9)
+    letter_counts = np.bincount(corpus.codes, minlength=26)
+    assert stats.apparent[0] == sum(int(k) * (int(k) - 1) // 2 for k in letter_counts)
+    assert all(a >= b for a, b in zip(stats.apparent, stats.apparent[1:]))
+    assert all(n >= 0 for n in stats.actual)
