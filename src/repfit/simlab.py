@@ -24,7 +24,7 @@ from .corpus import build_corpus, compute_statistics
 from .errors import ValidationError
 from .rng import checked_rng
 from .scoring import weights
-from .urn import UrnModel, hatted_urn, urn_from_stats
+from .urn import hatted_urn, urn_from_stats
 
 __all__ = [
     "ExperimentConfig",
@@ -36,6 +36,11 @@ __all__ = [
     "generate_traffic",
     "run_experiment",
 ]
+
+
+# Uniforms drawn per rng.random call. The iid sampler passes over a chunk once
+# per cdf threshold, so a chunk's draws should stay in cache between passes.
+_SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,10 @@ class LanguageModel:
         c = self.alphabet_size
         if c < 2:
             raise ValidationError(f"language needs an alphabet of at least 2 symbols, got {c}")
+        if c > 256:
+            raise ValidationError(
+                f"language.c must be at most 256, got {c}: traffic letters are stored as uint8"
+            )
         if self.kind == "iid-skewed":
             probs = (
                 np.full(c, 1.0 / c)
@@ -80,13 +89,38 @@ class LanguageModel:
             )
 
     def sample(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        """Letter codes of the given shape (rows are independent texts)."""
+        """Letter codes of the given shape (rows are independent texts).
+
+        The iid path equals ``rng.choice(c, size=shape, p=letter_probs)`` as
+        ``uint8`` and leaves ``rng`` in the same state.
+        """
         c = self.alphabet_size
+        out = np.empty(shape, dtype=np.uint8)
         if self.kind == "iid-skewed":
-            return rng.choice(c, size=shape, p=self.letter_probs).astype(np.uint8)
+            # rng.choice draws one float64 per letter and returns the count
+            # of cdf entries <= u; the last entry is 1.0 and never counts.
+            cdf = self.letter_probs.cumsum()
+            cdf /= cdf[-1]
+            codes = out.reshape(-1)
+            u = np.empty(min(codes.size, _SAMPLE_CHUNK))
+            hit = np.empty(u.size, dtype=bool)
+            for lo in range(0, codes.size, _SAMPLE_CHUNK):
+                chunk = codes[lo : lo + _SAMPLE_CHUNK]
+                draws = rng.random(out=u[: chunk.size])
+                np.greater_equal(draws, cdf[0], out=chunk)
+                for k in range(1, c - 1):
+                    np.greater_equal(draws, cdf[k], out=hit[: chunk.size])
+                    chunk += hit[: chunk.size]
+            return out
         rows, cols = (1, shape[0]) if len(shape) == 1 else shape
-        out = np.empty((rows, cols), dtype=np.uint8)
+        if cols == 0:
+            return out
+        out = out.reshape(rows, cols)
+        # The next state is the count of the cumulative sums, bar the last,
+        # that are <= u: the first sum > u once the last is set to infinity.
+        # So a row summing to just under 1 yields c-1, never 0.
         cum = np.cumsum(self.transition, axis=1)
+        cum[:, -1] = np.inf
         state = rng.integers(0, c, size=rows)
         out[:, 0] = state
         for j in range(1, cols):
@@ -153,17 +187,16 @@ def generate_traffic(
     # One key stream per pair covering both messages' machine positions; a
     # second, independent stream replaces B's aligned keys for wrong pairs.
     key = rng.integers(0, c, size=(n_pairs, msg_len + shift), dtype=np.int16)
-    key_b_wrong = rng.integers(0, c, size=(n_pairs, msg_len), dtype=np.int16)
+    key_b = rng.integers(0, c, size=(n_pairs, msg_len), dtype=np.int16)
 
     n_right = round(n_pairs * fraction_right)
     is_right = np.zeros(n_pairs, dtype=bool)
     is_right[rng.permutation(n_pairs)[:n_right]] = True
 
-    key_a = key[:, :msg_len]
-    key_b = np.where(is_right[:, None], key[:, shift:], key_b_wrong)
-
-    cipher_a = ((plain_a.astype(np.int16) + key_a) % c).astype(np.uint8)
-    cipher_b = ((plain_b.astype(np.int16) + key_b) % c).astype(np.uint8)
+    key_b[is_right] = key[is_right, shift:]
+    # B's keys are settled before A's are enciphered in place over `key`.
+    cipher_b = _encipher(plain_b, key_b, c)
+    cipher_a = _encipher(plain_a, key[:, :msg_len], c)
 
     return Traffic(
         plain_a=plain_a,
@@ -178,19 +211,32 @@ def generate_traffic(
     )
 
 
+def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> np.ndarray:
+    """(plain + key) mod c as uint8, computed in place in the int16 key.
+
+    Both letters are < c <= 256, so their uint16 sum s is below 2c, and
+    min(s, s - c) is s mod c because s - c wraps around when s < c.
+    """
+    s = key.view(np.uint16)
+    s += plain
+    np.minimum(s, s - np.uint16(c), out=s)
+    return s.astype(np.uint8)
+
+
 def run_length_table(coincidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All maximal runs of True cells in a boolean matrix.
 
     Returns (row indices, run lengths), one entry per maximal run, in
-    row-major order.
+    row-major order; equal, dtypes included, to a per-row scan of the matrix.
     """
     n, width = coincidences.shape
-    padded = np.zeros((n, width + 2), dtype=np.int8)
-    padded[:, 1:-1] = coincidences
-    d = np.diff(padded, axis=1)
-    start_rows, start_cols = np.nonzero(d == 1)
-    _, end_cols = np.nonzero(d == -1)
-    return start_rows, end_cols - start_cols
+    # Rows laid end to end, each after a False separator and the last before
+    # a trailing one, so no run crosses a row and edges alternate rise/fall.
+    padded = np.zeros(n * (width + 1) + 1, dtype=bool)
+    padded[:-1].reshape(n, width + 1)[:, 1:] = coincidences
+    edges = np.flatnonzero(padded[:-1] != padded[1:])
+    starts, ends = edges[0::2], edges[1::2]
+    return (starts + 1) // (width + 1), ends - starts
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -283,17 +329,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        def require(name, kind):
+        def read(name, kind, label, required=True):
             if name not in doc:
-                raise ValidationError(f"experiment config is missing field {name!r}")
+                if required:
+                    raise ValidationError(f"experiment config is missing field {name!r}")
+                return _CONFIG_DEFAULTS[name]
             value = doc[name]
-            if not isinstance(value, kind):
+            if not isinstance(value, kind) or isinstance(value, bool):
                 raise ValidationError(
-                    f"experiment config field {name!r} must be {kind.__name__}-valued"
+                    f"experiment config field {name!r} must be {label}, got {value!r}"
                 )
             return value
 
-        lang = require("language", dict)
+        lang = read("language", dict, "an object")
         if "c" not in lang:
             raise ValidationError("experiment config is missing field 'language.c'")
         lm = LanguageModel(
@@ -313,19 +361,26 @@ class ExperimentConfig:
             raise ValidationError(
                 f"experiment config field 'urn' must be 'from-corpus' or 'hatted', got {urn_kind!r}"
             )
+        smoothing = doc.get("smoothing", "auto")
+        number = isinstance(smoothing, (int, float)) and not isinstance(smoothing, bool)
+        if not (smoothing in ("auto", None) or number and smoothing > 0):
+            raise ValidationError(
+                "experiment config field 'smoothing' must be 'auto', null or a positive number, "
+                f"got {smoothing!r}"
+            )
         return cls(
             language=lm,
-            corpus_size=require("corpus_size", int),
-            n_pairs=require("n_pairs", int),
-            overlap=require("overlap", int),
-            fraction_right=float(require("fraction_right", (int, float))),
-            seed=require("seed", int),
-            msg_len=doc.get("msg_len"),
-            r_max=doc.get("r_max", 16),
-            n_decodes=doc.get("n_decodes", 50),
-            bin_width=float(doc.get("bin_width", 1.0)),
+            corpus_size=read("corpus_size", int, "an integer"),
+            n_pairs=read("n_pairs", int, "an integer"),
+            overlap=read("overlap", int, "an integer"),
+            fraction_right=float(read("fraction_right", (int, float), "a number")),
+            seed=read("seed", int, "an integer"),
+            msg_len=read("msg_len", (int, type(None)), "an integer or null", required=False),
+            r_max=read("r_max", int, "an integer", required=False),
+            n_decodes=read("n_decodes", int, "an integer", required=False),
+            bin_width=float(read("bin_width", (int, float), "a number", required=False)),
             urn=urn_kind,
-            smoothing=doc.get("smoothing", "auto"),
+            smoothing=smoothing,
             echo=dict(doc),
         )
 
@@ -336,18 +391,6 @@ def _corpus_texts(lm: LanguageModel, total: int, n_decodes: int, rng: np.random.
     lengths = [base] * n_decodes
     lengths[-1] += total - base * n_decodes
     return [lm.sample((length,), rng) for length in lengths]
-
-
-def fit_language_urn(
-    lm: LanguageModel,
-    corpus_size: int,
-    r_max: int,
-    n_decodes: int,
-    rng: np.random.Generator,
-) -> UrnModel:
-    """Sample a plaintext corpus from the language and fit urn proportions."""
-    corpus = build_corpus(_corpus_texts(lm, corpus_size, n_decodes, rng), lm.alphabet_size)
-    return urn_from_stats(compute_statistics(corpus, r_max=r_max))
 
 
 def calibration_experiment(
@@ -371,8 +414,10 @@ def calibration_experiment(
     fitted corpus, so rare long runs in traffic remain scorable; pass None to
     keep the scorer's hard error instead.  Deterministic for a given seed.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:
         raise ValidationError(f"bin_width must be positive, got {bin_width}")
+    if n_decodes < 1:
+        raise ValidationError(f"n_decodes must be >= 1, got {n_decodes}")
     msg_len = overlap if msg_len is None else msg_len
     master = checked_rng(seed)
 

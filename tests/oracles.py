@@ -10,6 +10,7 @@ be compared field by field.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from math import comb, factorial
 
@@ -132,6 +133,43 @@ def scan_run_spectrum(cells: str) -> dict[int, int]:
         else:
             i += 1
     return counts
+
+
+def markov_sample_oracle(transition, rows: int, cols: int, rng) -> np.ndarray:
+    """First-order chain letter by letter, with the package's draws: a start
+    state per row, then one uniform per row per column; the next state is the
+    number of the current row's cumulative sums, bar the last, that are <= u."""
+    c = len(transition)
+    cum = [list(itertools.accumulate(row))[:-1] for row in np.asarray(transition).tolist()]
+    out = np.empty((rows, cols), dtype=np.uint8)
+    state = rng.integers(0, c, size=rows).tolist()
+    out[:, 0] = state
+    for j in range(1, cols):
+        state = [bisect_right(cum[s], u) for s, u in zip(state, rng.random(rows).tolist())]
+        out[:, j] = state
+    return out
+
+
+def traffic_oracle(lm, n_pairs: int, msg_len: int, overlap: int, fraction_right: float, seed: int):
+    """(plain_a, plain_b, cipher_a, cipher_b, is_right) drawn in the package's
+    order from default_rng(seed): letters by rng.choice (iid) or the chain
+    oracle, then the shared and B-only int16 key streams, then the labels;
+    enciphered as (plain + key) % c."""
+    rng = np.random.default_rng(seed)
+    c = lm.alphabet_size
+    shift = msg_len - overlap
+    if lm.kind == "iid-skewed":
+        plain = [rng.choice(c, size=(n_pairs, msg_len), p=lm.letter_probs) for _ in "ab"]
+    else:
+        plain = [markov_sample_oracle(lm.transition, n_pairs, msg_len, rng) for _ in "ab"]
+    key = rng.integers(0, c, size=(n_pairs, msg_len + shift), dtype=np.int16)
+    key_b_own = rng.integers(0, c, size=(n_pairs, msg_len), dtype=np.int16)
+    is_right = np.zeros(n_pairs, dtype=bool)
+    is_right[rng.permutation(n_pairs)[: round(n_pairs * fraction_right)]] = True
+    key_b = np.where(is_right[:, None], key[:, shift:], key_b_own)
+    cipher_a = (plain[0].astype(int) + key[:, :msg_len]) % c
+    cipher_b = (plain[1].astype(int) + key_b) % c
+    return plain[0], plain[1], cipher_a, cipher_b, is_right
 
 
 def completing_figures(overlap: int):

@@ -296,6 +296,28 @@ def test_simulate_bad_config_names_field(tmp_path, capsys):
     assert "fraction_right" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("smoothing", "off"),
+    ("smoothing", 0),
+    ("r_max", "9"),
+    ("msg_len", "50"),
+    ("bin_width", "x"),
+    ("n_decodes", 0),
+    ("n_decodes", -3),
+    ("n_pairs", True),
+    ("smoothing", True),
+    ("fraction_right", "half"),
+    ("language", {"c": 300}),
+])
+def test_simulate_bad_config_field_exits_3_naming_it(tmp_path, capsys, field, value):
+    doc = {"language": {"c": 4}, "corpus_size": 1000, "n_pairs": 100,
+           "overlap": 10, "fraction_right": 0.5, "seed": 1}
+    config = write(tmp_path, "config.json", json.dumps({**doc, field: value}))
+    code, _, err = run(capsys, "simulate", "--config", config)
+    assert code == 3
+    assert (field if field != "language" else "language.c") in err
+
+
 def test_artifacts_are_idempotent_with_reproducible(tmp_path, capsys):
     corpus = write(tmp_path, "corpus.txt", "BANANARAMA")
     out1 = tmp_path / "s1.json"

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repfit import simlab
 from repfit.errors import ModelError, ValidationError
 from repfit.figures import figure_from_comparison
 from repfit.simlab import (
@@ -14,7 +17,7 @@ from repfit.simlab import (
     run_length_table,
 )
 
-from oracles import scan_run_spectrum
+from oracles import markov_sample_oracle, scan_run_spectrum, traffic_oracle
 
 SKEWED4 = LanguageModel(alphabet_size=4, letter_probs=np.array([0.55, 0.25, 0.15, 0.05]))
 UNIFORM4 = LanguageModel(alphabet_size=4)
@@ -29,6 +32,88 @@ def test_language_model_validation():
         LanguageModel(alphabet_size=3, kind="bigram-table")
     uniform = LanguageModel(alphabet_size=4)
     assert np.allclose(uniform.letter_probs, 0.25)
+
+
+def test_alphabet_above_256_symbols_is_rejected():
+    # Traffic letters are uint8; a larger alphabet would wrap its codes.
+    with pytest.raises(ValidationError, match="language.c"):
+        LanguageModel(alphabet_size=300)
+    lm = LanguageModel(alphabet_size=256)
+    assert lm.sample((5_000,), np.random.default_rng(0)).max() == 255
+
+
+@st.composite
+def _letter_probs(draw):
+    c = draw(st.sampled_from([2, 3, 4, 26, 64, 65, 200, 256]))
+    # Small integer weights give zeros anywhere, leading and trailing included.
+    w = np.array(draw(st.lists(st.integers(0, 4), min_size=c, max_size=c)), dtype=float)
+    if not w.any():
+        w[draw(st.integers(0, c - 1))] = 1.0
+    return w / w.sum()
+
+
+@given(
+    probs=_letter_probs(),
+    shape=st.sampled_from([(1,), (7,), (25, 3), (3, 40), (96,)]),
+    chunk=st.sampled_from([16, 1 << 20]),
+    seed=st.integers(0, 2**32),
+)
+def test_iid_sample_equals_rng_choice_on_a_twin_generator(probs, shape, chunk, seed):
+    lm = LanguageModel(alphabet_size=probs.size, letter_probs=probs)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        # A small chunk makes these shapes cross several chunk boundaries.
+        patch.setattr(simlab, "_SAMPLE_CHUNK", chunk)
+        got = lm.sample(shape, rng)
+    expected = twin.choice(probs.size, size=shape, p=lm.letter_probs).astype(np.uint8)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert rng.random() == twin.random()
+
+
+class _FixedDraws:
+    """Stands in for a generator: start states 0, then the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self.used = 0
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+    def random(self, size=None, out=None):
+        n = size if out is None else out.size
+        draws = self.uniforms[self.used : self.used + n]
+        self.used += n
+        if out is None:
+            return draws.copy()
+        out[...] = draws
+        return out
+
+
+@pytest.mark.parametrize("c", [4, 256])
+def test_iid_sample_ties_and_zero_probabilities_follow_rng_choice(c):
+    # rng.choice returns cdf.searchsorted(u, side="right"): a uniform equal to
+    # a cumulative sum goes right, and a zero-probability letter never shows.
+    probs = np.zeros(c)
+    probs[[0, 1, -1]] = [0.25, 0.25, 0.5]
+    lm = LanguageModel(alphabet_size=c, letter_probs=probs)
+    u = np.array([0.0, 0.25, 0.25 - 2**-54, 0.5, 0.5 - 2**-54, 0.75, 1.0 - 2**-53])
+    got = lm.sample((u.size,), _FixedDraws(u))
+    assert got.tolist() == probs.cumsum().searchsorted(u, side="right").tolist()
+    assert got.tolist() == [0, 1, 0, c - 1, 1, c - 1, c - 1]
+
+
+@pytest.mark.parametrize("c", [4, 200])
+def test_iid_sample_across_the_real_chunk_boundary(c):
+    probs = np.arange(c, dtype=float)
+    probs /= probs.sum()
+    lm = LanguageModel(alphabet_size=c, letter_probs=probs)
+    shape = (3, simlab._SAMPLE_CHUNK // 2 + 5)
+    rng, twin = np.random.default_rng(c), np.random.default_rng(c)
+    got = lm.sample(shape, rng)
+    assert np.array_equal(got, twin.choice(c, size=shape, p=probs).astype(np.uint8))
+    assert rng.random() == twin.random()
 
 
 def test_iid_sampling_frequencies():
@@ -49,12 +134,54 @@ def test_markov_sampling_tracks_transition_rows():
     assert abs(observed - 0.9) < 3 * math.sqrt(0.9 * 0.1 / from_zero.size)
 
 
+@pytest.mark.parametrize("c, shape", [(2, (40,)), (3, (7, 13)), (5, (12, 9))])
+def test_markov_sample_matches_the_letter_by_letter_oracle(c, shape):
+    transition = np.random.default_rng(c).random((c, c))
+    transition[0, -1] = 0.0
+    transition /= transition.sum(axis=1, keepdims=True)
+    lm = LanguageModel(alphabet_size=c, kind="markov-1", transition=transition)
+    rows, cols = (1, shape[0]) if len(shape) == 1 else shape
+    got = lm.sample(shape, np.random.default_rng(99))
+    expected = markov_sample_oracle(transition, rows, cols, np.random.default_rng(99))
+    assert np.array_equal(got, expected.reshape(shape))
+
+
+def test_markov_draw_past_a_row_summing_below_one_is_the_last_state():
+    # Each row sums to 1 - 3e-13, inside the validation tolerance, so a
+    # uniform can land past the last cumulative sum.
+    short = 1.0 - 3e-13
+    transition = np.array([[0.5, 0.2, short - 0.7], [0.1, 0.1, short - 0.2], [0.3, 0.3, short - 0.6]])
+    lm = LanguageModel(alphabet_size=3, kind="markov-1", transition=transition)
+    cum = np.cumsum(transition, axis=1)
+    # The last two uniforms tie with a cumulative sum and go right.
+    draws = [1.0 - 1e-14, 0.25, 0.65, 0.95, cum[2, 1], cum[2, 0]]
+    text = lm.sample((7,), _FixedDraws(draws))
+    assert text.tolist() == [0, 2, 0, 1, 2, 2, 1]
+
+
 def test_traffic_bookkeeping():
     traffic = generate_traffic(UNIFORM4, n_pairs=10_000, msg_len=20, overlap=20,
                                fraction_right=0.5, seed=4)
     assert traffic.n_pairs == 10_000
     assert traffic.is_right.sum() == 5_000
     assert traffic.prior_log_odds == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("lm", [
+    SKEWED4,
+    LanguageModel(alphabet_size=200),
+    LanguageModel(alphabet_size=256),
+    LanguageModel(alphabet_size=3, kind="markov-1",
+                  transition=np.array([[0.6, 0.4, 0.0], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]])),
+], ids=["skewed4", "uniform200", "uniform256", "markov3"])
+def test_traffic_equals_the_reference_draws(lm):
+    traffic = generate_traffic(lm, n_pairs=300, msg_len=40, overlap=25,
+                               fraction_right=0.4, seed=2718)
+    expected = traffic_oracle(lm, 300, 40, 25, 0.4, 2718)
+    got = (traffic.plain_a, traffic.plain_b, traffic.cipher_a, traffic.cipher_b, traffic.is_right)
+    for array, reference in zip(got, expected):
+        assert np.array_equal(array, reference)
+    assert traffic.cipher_a.dtype == traffic.cipher_b.dtype == np.uint8
 
 
 def test_right_pairs_coincide_exactly_where_plaintexts_do():
@@ -95,15 +222,26 @@ def test_traffic_validation():
 
 def test_run_length_table_matches_scan():
     rng = np.random.default_rng(3)
-    matrix = rng.random((200, 30)) < 0.4
-    rows, lengths = run_length_table(matrix)
-    for row in range(matrix.shape[0]):
-        cells = "".join("X" if hit else "O" for hit in matrix[row])
-        expected = scan_run_spectrum(cells)
-        observed: dict[int, int] = {}
-        for length in lengths[rows == row]:
-            observed[int(length)] = observed.get(int(length), 0) + 1
-        assert observed == expected
+    matrices = [
+        rng.random((200, 30)) < 0.4,
+        np.ones((6, 9), dtype=bool),  # a run leaking past a row end shows here
+        np.zeros((6, 9), dtype=bool),
+        rng.random((50, 1)) < 0.5,
+        np.ones((4, 1), dtype=bool),
+        np.zeros((4, 0), dtype=bool),
+        rng.random((1, 64)) < 0.6,
+    ]
+    for matrix in matrices:
+        rows, lengths = run_length_table(matrix)
+        assert rows.dtype == lengths.dtype == np.intp
+        assert np.all(np.diff(rows) >= 0)
+        for row in range(matrix.shape[0]):
+            cells = "".join("X" if hit else "O" for hit in matrix[row])
+            expected = scan_run_spectrum(cells)
+            observed: dict[int, int] = {}
+            for length in lengths[rows == row]:
+                observed[int(length)] = observed.get(int(length), 0) + 1
+            assert observed == expected
 
 
 def test_uniform_language_with_hatted_urn_collapses_to_the_prior():
