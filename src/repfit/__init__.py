@@ -26,10 +26,8 @@ from .errors import (
     ValidationError,
 )
 from .figures import (
-    Alignment,
     RepetitionFigure,
     RunSpectrum,
-    draws_needed,
     figure_from_comparison,
     parse_figure,
     run_spectrum,
@@ -40,7 +38,6 @@ from .scoring import (
     odds_of_fit,
     right_relevant_proportion,
     weights,
-    wrong_relevance_ratio,
     wrong_relevant_proportion,
 )
 from .simlab import (
@@ -55,7 +52,6 @@ from .urn import (
     acceptance_proportion,
     exact_completion_probability,
     figures_from_draws,
-    hatted_apparent,
     hatted_urn,
     sample_figures,
     urn_from_stats,
@@ -64,7 +60,6 @@ from .urn import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alignment",
     "CircularCorpus",
     "EmptyComparisonError",
     "ExperimentConfig",
@@ -88,12 +83,10 @@ __all__ = [
     "calibration_experiment",
     "card_counts",
     "compute_statistics",
-    "draws_needed",
     "exact_completion_probability",
     "figure_from_comparison",
     "figures_from_draws",
     "generate_traffic",
-    "hatted_apparent",
     "hatted_urn",
     "odds_of_fit",
     "parse_figure",
@@ -102,6 +95,5 @@ __all__ = [
     "sample_figures",
     "urn_from_stats",
     "weights",
-    "wrong_relevance_ratio",
     "wrong_relevant_proportion",
 ]

@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelError, ValidationError
+from .errors import ModelError, ValidationError, artifact_field
 
 __all__ = [
     "CircularCorpus",
@@ -314,24 +314,31 @@ def stats_to_json(stats: RepeatStatistics, **extra) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _counts(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(int(x) for x in value)
+
+
 def stats_from_json(text: str) -> RepeatStatistics:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid statistics artifact: {exc}") from exc
-    try:
-        stats = RepeatStatistics(
-            n_letters=int(doc["N"]),
-            alphabet_size=int(doc["c"]),
-            r_max=int(doc["r_max"]),
-            apparent=tuple(int(m) for m in doc["M"]),
-            actual=tuple(int(n) for n in doc["Nr"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"statistics artifact is missing field {exc.args[0]!r}") from exc
-    if "total_cards" in doc and int(doc["total_cards"]) != stats.total_cards:
-        raise ValidationError(
-            "statistics artifact is internally inconsistent: "
-            f"total_cards {doc['total_cards']} != {stats.total_cards}"
-        )
+    if not isinstance(doc, dict):
+        raise ValidationError(f"statistics artifact must be a JSON object, got {doc!r}")
+    stats = RepeatStatistics(
+        n_letters=artifact_field("statistics", doc, "N", int),
+        alphabet_size=artifact_field("statistics", doc, "c", int),
+        r_max=artifact_field("statistics", doc, "r_max", int),
+        apparent=artifact_field("statistics", doc, "M", _counts),
+        actual=artifact_field("statistics", doc, "Nr", _counts),
+    )
+    if "total_cards" in doc:
+        total_cards = artifact_field("statistics", doc, "total_cards", int)
+        if total_cards != stats.total_cards:
+            raise ValidationError(
+                "statistics artifact is internally inconsistent: "
+                f"total_cards {total_cards} != {stats.total_cards}"
+            )
     return stats

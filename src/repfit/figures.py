@@ -13,17 +13,17 @@ across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import EmptyComparisonError, FigureParseError, ValidationError
 
 __all__ = [
-    "Alignment",
     "RepetitionFigure",
     "RunSpectrum",
-    "draws_needed",
     "figure_from_comparison",
     "parse_figure",
     "run_spectrum",
@@ -31,6 +31,10 @@ __all__ = [
 
 X_CELL = "X"
 O_CELL = "O"
+_BAD_CELL = re.compile("[^XO]")
+_X_RUN = re.compile("X+")
+# Equality bytes (0 or 1) of a numpy bool array to O/X cell bytes.
+_CELL_OF_EQUAL = bytes.maketrans(b"\x00\x01", b"OX")
 
 
 @dataclass(frozen=True)
@@ -107,77 +111,53 @@ class RunSpectrum:
         return sum((r + 1) * k for r, k in self.counts.items())
 
 
-@dataclass(frozen=True)
-class Alignment:
-    """Relative placement of message B against message A.
-
-    ``shift`` is the signed offset of B's first letter relative to A's;
-    position i of A aligns with position i - shift of B.  Serialized form is
-    the decimal signed shift.
-    """
-
-    shift: int
-
-    def overlap(self, len_a: int, len_b: int) -> int:
-        """Number of aligned positions for messages of the given lengths."""
-        return max(0, min(len_a, self.shift + len_b) - max(0, self.shift))
-
-    def serialize(self) -> str:
-        return str(self.shift)
-
-    @classmethod
-    def parse(cls, text: str) -> "Alignment":
-        try:
-            return cls(int(text, 10))
-        except ValueError as exc:
-            raise ValidationError(f"invalid alignment shift {text!r}") from exc
-
-
 def parse_figure(text: str) -> RepetitionFigure:
     """Parse a plain X/O string into a figure.
 
-    Rejects any other character, naming the offending position.
+    Rejects any other character, naming the first offending position, exactly
+    as a character-by-character scan would.
     """
-    for position, ch in enumerate(text):
-        if ch not in (X_CELL, O_CELL):
-            raise FigureParseError(
-                f"invalid figure character {ch!r} at position {position} (expected X or O)",
-                position,
-            )
+    bad = _BAD_CELL.search(text)
+    if bad is not None:
+        raise FigureParseError(
+            f"invalid figure character {bad.group()!r} at position {bad.start()} "
+            "(expected X or O)",
+            bad.start(),
+        )
     return RepetitionFigure(text)
 
 
 def run_spectrum(figure: RepetitionFigure) -> RunSpectrum:
-    """Count the figure's maximal X-runs by exact length."""
+    """Count the figure's maximal X-runs by exact length, keyed in order of
+    first appearance, as a left-to-right scan would."""
     counts: dict[int, int] = {}
-    for cell, group in groupby(figure.cells):
-        if cell == X_CELL:
-            r = sum(1 for _ in group)
-            counts[r] = counts.get(r, 0) + 1
+    for run in _X_RUN.findall(figure.cells):
+        r = len(run)
+        counts[r] = counts.get(r, 0) + 1
     return RunSpectrum(counts)
+
+
+def _letters(message: Sequence) -> np.ndarray:
+    # Letters that are not already in an array stay Python objects, so that
+    # they compare with Python's ``==``: numpy would read a str as one
+    # scalar and coerce a list mixing str and int letters to strings.
+    if isinstance(message, np.ndarray):
+        return message
+    return np.fromiter(message, dtype=object, count=len(message))
 
 
 def figure_from_comparison(a: Sequence, b: Sequence, shift: int) -> RepetitionFigure:
     """Derive the repetition figure of two messages compared at a shift.
 
     One cell per aligned index pair (a[i], b[i - shift]), X iff the letters
-    are equal, ordered by i ascending.  Messages may be strings or any
-    indexable letter-code sequences over the same alphabet.
+    are equal, ordered by i ascending.  Messages may be strings, numpy arrays
+    or any sliceable letter sequences over the same alphabet; the cells equal
+    those of comparing the aligned letters one pair at a time.
     """
-    alignment = Alignment(shift)
-    if alignment.overlap(len(a), len(b)) < 1:
+    start, stop = max(0, shift), min(len(a), shift + len(b))
+    if stop <= start:
         raise EmptyComparisonError(
             f"shift {shift} gives zero overlap for lengths {len(a)} and {len(b)}"
         )
-    start = max(0, shift)
-    stop = min(len(a), shift + len(b))
-    cells = "".join(
-        X_CELL if a[i] == b[i - shift] else O_CELL for i in range(start, stop)
-    )
-    return RepetitionFigure(cells)
-
-
-def draws_needed(figure: RepetitionFigure) -> int:
-    """Number of urn draws that produce this figure: overlap minus repeated
-    letters, plus one for the terminating draw of the final run or cell."""
-    return figure.length - figure.repeated_letters + 1
+    equal = _letters(a[start:stop]) == _letters(b[start - shift:stop - shift])
+    return RepetitionFigure(equal.tobytes().translate(_CELL_OF_EQUAL).decode("ascii"))

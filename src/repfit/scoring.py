@@ -39,9 +39,6 @@ __all__ = [
     "right_relevant_proportion",
     "score_to_json",
     "weights",
-    "weights_from_json",
-    "weights_to_json",
-    "wrong_relevance_ratio",
     "wrong_relevant_proportion",
 ]
 
@@ -108,24 +105,20 @@ class FitScore:
 
 def weights(urn: UrnModel, log_base: str = "nat", floor: float | None = None) -> ScoreWeights:
     """Evidence weights of an urn against the flat-random null of the same
-    alphabet size."""
+    alphabet size: the urn's natural-log weights, computed once per urn,
+    times the unit scale, so every call gives the same bits."""
     scale = _unit_scale(log_base)
     c = urn.alphabet_size
     if c < 2:
         raise ValidationError(f"scoring needs an alphabet of at least 2 symbols, got {c}")
     if floor is not None and floor <= 0:
         raise ValidationError(f"smoothing floor must be positive, got {floor}")
-    log_ca = math.log(c * urn.no_repeat / (c - 1))
-    mu = {
-        r: scale * (math.log(a) + (r + 1) * math.log(c) - math.log(c - 1) - (r + 1) * log_ca)
-        for r, a in urn.alpha.items()
-    }
-    correction = math.log(urn.no_repeat * (1.0 + urn.mean_extra_cells))
+    mu, nu, correction = urn.nat_weights
     return ScoreWeights(
         alphabet_size=c,
         log_base=log_base,
-        mu=mu,
-        nu=-log_ca * scale,
+        mu={r: scale * m for r, m in mu.items()},
+        nu=nu * scale,
         correction=correction * scale,
         floor=floor,
     )
@@ -180,19 +173,6 @@ def wrong_relevant_proportion(alphabet_size: int, spectrum: RunSpectrum, overlap
     return value
 
 
-def wrong_relevance_ratio(overlap: int, repeated_letters: int, alphabet_size: int) -> float:
-    """Probability that a wrong comparison repeats at R given positions and
-    nowhere else: (1/c)^R * ((c-1)/c)^(L-R) under independent uniform letters."""
-    c = alphabet_size
-    if c < 2:
-        raise ValidationError(f"alphabet size must be >= 2, got {c}")
-    if not 0 <= repeated_letters <= overlap:
-        raise ValidationError(
-            f"repeated letters must lie in [0, overlap], got {repeated_letters} of {overlap}"
-        )
-    return (1.0 / c) ** repeated_letters * ((c - 1) / c) ** (overlap - repeated_letters)
-
-
 def score_with_weights(
     score_weights: ScoreWeights,
     spectrum: RunSpectrum,
@@ -244,40 +224,6 @@ def odds_of_fit(
     elif spectrum is None or overlap is None:
         raise ValidationError("scoring a spectrum requires its overlap")
     return score_with_weights(weights(urn, log_base, floor), spectrum, overlap, prior_log_odds)
-
-
-def weights_to_json(score_weights: ScoreWeights, **extra) -> str:
-    doc = {
-        "c": score_weights.alphabet_size,
-        "log_base": score_weights.log_base,
-        "mu": {str(r): score_weights.mu[r] for r in sorted(score_weights.mu)},
-        "nu": score_weights.nu,
-        "correction": score_weights.correction,
-    }
-    if score_weights.floor is not None:
-        doc["floor"] = score_weights.floor
-    doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def weights_from_json(text: str) -> ScoreWeights:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid weights artifact: {exc}") from exc
-    try:
-        return ScoreWeights(
-            alphabet_size=int(doc["c"]),
-            log_base=str(doc["log_base"]),
-            mu={int(r): float(m) for r, m in doc["mu"].items()},
-            nu=float(doc["nu"]),
-            correction=float(doc["correction"]),
-            floor=float(doc["floor"]) if "floor" in doc else None,
-        )
-    except KeyError as exc:
-        raise ValidationError(f"weights artifact is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"weights artifact is malformed: {exc}") from exc
 
 
 def score_to_json(score: FitScore, **extra) -> str:

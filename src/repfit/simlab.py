@@ -69,7 +69,7 @@ class LanguageModel:
             )
             if probs.shape != (c,):
                 raise ValidationError(f"letter_probs must have {c} entries")
-            if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-12:
+            if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12):
                 raise ValidationError("letter_probs must be non-negative and sum to 1")
             probs.flags.writeable = False
             object.__setattr__(self, "letter_probs", probs)
@@ -79,7 +79,7 @@ class LanguageModel:
             t = np.asarray(self.transition, dtype=float)
             if t.shape != (c, c):
                 raise ValidationError(f"transition matrix must be {c}x{c}")
-            if (t < 0).any() or np.abs(t.sum(axis=1) - 1.0).max() > 1e-12:
+            if not ((t >= 0).all() and np.abs(t.sum(axis=1) - 1.0).max() <= 1e-12):
                 raise ValidationError("transition rows must be non-negative and sum to 1")
             t.flags.writeable = False
             object.__setattr__(self, "transition", t)
@@ -344,11 +344,16 @@ class ExperimentConfig:
         lang = read("language", dict, "an object")
         if "c" not in lang:
             raise ValidationError("experiment config is missing field 'language.c'")
+        c = lang["c"]
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValidationError(
+                f"experiment config field 'language.c' must be an integer, got {c!r}"
+            )
         lm = LanguageModel(
-            alphabet_size=int(lang["c"]),
+            alphabet_size=c,
             kind=lang.get("kind", "iid-skewed"),
-            letter_probs=lang.get("probs"),
-            transition=lang.get("transition"),
+            letter_probs=_language_numbers(lang, "probs"),
+            transition=_language_numbers(lang, "transition"),
         )
         known = {"language", "corpus_size", "n_pairs", "overlap", "fraction_right", "seed"} | set(
             _CONFIG_DEFAULTS
@@ -385,6 +390,21 @@ class ExperimentConfig:
         )
 
 
+def _language_numbers(lang: dict, name: str) -> np.ndarray | None:
+    """The ``language.<name>`` array of numbers, or None if it is absent."""
+    value = lang.get(name)
+    if value is None:
+        return None
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(
+        f"experiment config field 'language.{name}' must be an array of numbers, got {value!r}"
+    )
+
+
 def _corpus_texts(lm: LanguageModel, total: int, n_decodes: int, rng: np.random.Generator):
     n_decodes = max(1, min(n_decodes, total))
     base = total // n_decodes
@@ -418,6 +438,8 @@ def calibration_experiment(
         raise ValidationError(f"bin_width must be positive, got {bin_width}")
     if n_decodes < 1:
         raise ValidationError(f"n_decodes must be >= 1, got {n_decodes}")
+    if corpus_size < 0:
+        raise ValidationError(f"corpus_size must be >= 0, got {corpus_size}")
     msg_len = overlap if msg_len is None else msg_len
     master = checked_rng(seed)
 

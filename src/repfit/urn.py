@@ -26,12 +26,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .corpus import RepeatStatistics, card_counts
-from .errors import ModelError, ValidationError
+from .errors import ModelError, ValidationError, artifact_field
 from .figures import O_CELL, RepetitionFigure, X_CELL
 from .rng import checked_rng
 
@@ -40,7 +42,6 @@ __all__ = [
     "acceptance_proportion",
     "exact_completion_probability",
     "figures_from_draws",
-    "hatted_apparent",
     "hatted_urn",
     "sample_figures",
     "urn_from_json",
@@ -97,6 +98,21 @@ class UrnModel:
         """Sum of r * alpha_r: expected X cells per draw."""
         return sum(r * a for r, a in self.alpha.items())
 
+    @cached_property
+    def nat_weights(self) -> tuple[Mapping[int, float], float, float]:
+        """Natural-log evidence weights (mu, nu, correction) against the
+        flat-random urn of the same alphabet, computed once per urn and
+        read-only; see ``repfit.scoring``.  Needs an alphabet of at least 2
+        symbols."""
+        c = self.alphabet_size
+        log_ca = math.log(c * self.no_repeat / (c - 1))
+        mu = {
+            r: math.log(a) + (r + 1) * math.log(c) - math.log(c - 1) - (r + 1) * log_ca
+            for r, a in self.alpha.items()
+        }
+        correction = math.log(self.no_repeat * (1.0 + self.mean_extra_cells))
+        return MappingProxyType(mu), -log_ca, correction
+
 
 def urn_from_stats(stats: RepeatStatistics) -> UrnModel:
     """Urn proportions from a corpus repeat census.
@@ -142,18 +158,6 @@ def hatted_urn(alphabet_size: int, r_max: int | None = None) -> UrnModel:
     return UrnModel(alpha=alpha, no_repeat=1.0 - sum(alpha.values()), alphabet_size=c)
 
 
-def hatted_apparent(alphabet_size: int, r: int, n_letters: int) -> float:
-    """Expected apparent r-gramme repeat count of a flat-random circle:
-    (N(N-1)/2) / c^r."""
-    if alphabet_size < 2:
-        raise ValidationError(f"alphabet size must be >= 2, got {alphabet_size}")
-    if n_letters < 2:
-        raise ValidationError(f"need at least 2 letters, got {n_letters}")
-    if r < 0:
-        raise ValidationError(f"r must be >= 0, got {r}")
-    return (n_letters * (n_letters - 1) / 2) * alphabet_size ** float(-r)
-
-
 def acceptance_proportion(urn: UrnModel) -> float:
     """Large-overlap fraction of drawing sessions that hit the target exactly:
     1 / (1 + sum of r * alpha_r)."""
@@ -179,15 +183,8 @@ def exact_completion_probability(urn: UrnModel, overlap: int) -> float:
     return f[overlap]
 
 
-def _figure_from_block_ends(ends: np.ndarray, n_cells: int, keep_trailing_o: bool) -> RepetitionFigure:
-    # Each draw contributes its cells and terminates with O, so the O cells
-    # sit exactly at the cumulative block ends.
-    cells = np.full(n_cells, ord(X_CELL), dtype=np.uint8)
-    cells[ends] = ord(O_CELL)
-    text = cells.tobytes().decode("ascii")
-    if not keep_trailing_o:
-        text = text[:-1]
-    return RepetitionFigure(text)
+# Urn cells drawn per rng.choice call: a chunk's draw temporaries stay small.
+_SAMPLE_CHUNK = 1 << 16
 
 
 def sample_figures(
@@ -205,6 +202,11 @@ def sample_figures(
     yielding the genuine figure one cell shorter.  Deterministic for a given
     seed.  The rejection loop terminates with probability one because the
     no-repeat proportion is positive.
+
+    Each comparison is one row of ``overlap`` card draws made by
+    ``rng.choice``, and the rows form one stream whatever the chunking: the
+    figures are its first ``count`` exact rows, and ``scrapped`` counts the
+    overshooting rows before the last of them.
     """
     if overlap < 1:
         raise ValidationError(f"overlap must be >= 1, got {overlap}")
@@ -216,26 +218,26 @@ def sample_figures(
     probs = np.array([urn.no_repeat] + [urn.alpha[r] for r in sorted(urn.alpha)])
     probs = probs / probs.sum()
 
+    width = overlap if keep_trailing_o else overlap - 1
+    # Every block is at least one cell, so `overlap` draws always settle a
+    # session.
+    rows = max(1, _SAMPLE_CHUNK // overlap)
     figures: list[RepetitionFigure] = []
     scrapped = 0
-    # Every block is at least one cell, so `overlap` draws always settle a
-    # session; sessions are sampled as rows of a block-length matrix.
-    max_rows = max(1, 30_000_000 // (8 * overlap))
     while len(figures) < count:
-        need = count - len(figures)
-        rows = min(max(64, need + need // 8 + 16), max_rows)
-        block_lengths = lengths[rng.choice(lengths.size, size=(rows, overlap), p=probs)]
-        cum = block_lengths.cumsum(axis=1)
-        stop = (cum >= overlap).argmax(axis=1)
-        exact = cum[np.arange(rows), stop] == overlap
-        for row in range(rows):
-            if len(figures) == count:
-                break
-            if exact[row]:
-                ends = cum[row, : stop[row] + 1] - 1
-                figures.append(_figure_from_block_ends(ends, overlap, keep_trailing_o))
-            else:
-                scrapped += 1
+        cum = lengths[rng.choice(lengths.size, size=(rows, overlap), p=probs)].cumsum(axis=1)
+        exact = np.flatnonzero((cum == overlap).any(axis=1))[: count - len(figures)]
+        last_row = int(exact[-1]) if len(figures) + exact.size == count else rows - 1
+        scrapped += last_row + 1 - exact.size
+        # Each draw contributes its cells and terminates with O, so the O
+        # cells sit exactly at the block ends that fall inside the figure;
+        # figure i starts at cell i * overlap of the chunk's text.
+        ends = cum[exact]
+        cells = np.full(ends.size, ord(X_CELL), dtype=np.uint8)
+        starts = np.arange(0, ends.size, overlap)
+        cells[(ends + (starts - 1)[:, None])[ends <= overlap]] = ord(O_CELL)
+        text = cells.tobytes().decode("ascii")
+        figures.extend(RepetitionFigure(text[start:start + width]) for start in starts.tolist())
     return figures, scrapped
 
 
@@ -288,15 +290,21 @@ def urn_to_json(urn: UrnModel, **extra) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _proportions(value) -> dict[int, float]:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object mapping run lengths to proportions, got {value!r}")
+    return {int(r): float(a) for r, a in value.items()}
+
+
 def urn_from_json(text: str) -> UrnModel:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid urn artifact: {exc}") from exc
-    try:
-        alpha = {int(r): float(a) for r, a in doc["alpha"].items()}
-        return UrnModel(alpha=alpha, no_repeat=float(doc["A"]), alphabet_size=int(doc["c"]))
-    except KeyError as exc:
-        raise ValidationError(f"urn artifact is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"urn artifact is malformed: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"urn artifact must be a JSON object, got {doc!r}")
+    return UrnModel(
+        alpha=artifact_field("urn", doc, "alpha", _proportions),
+        no_repeat=artifact_field("urn", doc, "A", float),
+        alphabet_size=artifact_field("urn", doc, "c", int),
+    )

@@ -2,21 +2,26 @@
 
 Everything here deliberately takes the slow, direct route: pairwise
 comparisons over all rotation positions, exhaustive enumeration of figures,
-and hand-rolled scans.  None of it shares code with the package; the
-normalizer raises the package's own exception type so that its errors can
-be compared field by field.
+and hand-rolled scans, plus the earlier implementations of rewritten
+package functions, which exactness tests require the package to equal.  None
+of it shares code with the package; the normalizer and the figure parser
+raise the package's own exception types so that their errors can be compared
+field by field.  It also holds helpers that only tests use (``Alignment``,
+``draws_needed``, ``hatted_apparent``, ``wrong_relevance_ratio``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
 
-from repfit.errors import NormalizationError
+from repfit.errors import FigureParseError, NormalizationError, ValidationError
 
 
 def normalize_oracle(policy, data: bytes) -> np.ndarray:
@@ -45,6 +50,136 @@ def normalize_oracle(policy, data: bytes) -> np.ndarray:
             continue
         out.append(code)
     return np.array(out, dtype=np.uint8 if policy.alphabet_size <= 256 else np.int32)
+
+
+@dataclass(frozen=True)
+class Alignment:
+    """Relative placement of message B against message A.
+
+    ``shift`` is the signed offset of B's first letter relative to A's;
+    position i of A aligns with position i - shift of B.  Serialized form is
+    the decimal signed shift.
+    """
+
+    shift: int
+
+    def overlap(self, len_a: int, len_b: int) -> int:
+        """Number of aligned positions for messages of the given lengths."""
+        return max(0, min(len_a, self.shift + len_b) - max(0, self.shift))
+
+    def serialize(self) -> str:
+        return str(self.shift)
+
+    @classmethod
+    def parse(cls, text: str) -> "Alignment":
+        try:
+            return cls(int(text, 10))
+        except ValueError as exc:
+            raise ValidationError(f"invalid alignment shift {text!r}") from exc
+
+
+def draws_needed(figure) -> int:
+    """Number of urn draws that produce this figure: overlap minus repeated
+    letters, plus one for the terminating draw of the final run or cell."""
+    return figure.length - figure.repeated_letters + 1
+
+
+def hatted_apparent(alphabet_size: int, r: int, n_letters: int) -> float:
+    """Expected apparent r-gramme repeat count of a flat-random circle:
+    (N(N-1)/2) / c^r."""
+    if alphabet_size < 2:
+        raise ValidationError(f"alphabet size must be >= 2, got {alphabet_size}")
+    if n_letters < 2:
+        raise ValidationError(f"need at least 2 letters, got {n_letters}")
+    if r < 0:
+        raise ValidationError(f"r must be >= 0, got {r}")
+    return (n_letters * (n_letters - 1) / 2) * alphabet_size ** float(-r)
+
+
+def wrong_relevance_ratio(overlap: int, repeated_letters: int, alphabet_size: int) -> float:
+    """Probability that a wrong comparison repeats at R given positions and
+    nowhere else: (1/c)^R * ((c-1)/c)^(L-R) under independent uniform letters."""
+    c = alphabet_size
+    if c < 2:
+        raise ValidationError(f"alphabet size must be >= 2, got {c}")
+    if not 0 <= repeated_letters <= overlap:
+        raise ValidationError(
+            f"repeated letters must lie in [0, overlap], got {repeated_letters} of {overlap}"
+        )
+    return (1.0 / c) ** repeated_letters * ((c - 1) / c) ** (overlap - repeated_letters)
+
+
+def comparison_oracle(a, b, shift: int) -> str:
+    """Figure cells of two messages at a shift, one aligned pair at a time."""
+    start = max(0, shift)
+    stop = min(len(a), shift + len(b))
+    return "".join("X" if a[i] == b[i - shift] else "O" for i in range(start, stop))
+
+
+def parse_oracle(text: str) -> str:
+    """Character-by-character figure check, raising the package's error."""
+    for position, ch in enumerate(text):
+        if ch not in ("X", "O"):
+            raise FigureParseError(
+                f"invalid figure character {ch!r} at position {position} (expected X or O)",
+                position,
+            )
+    return text
+
+
+def groupby_spectrum(cells: str) -> dict[int, int]:
+    """Maximal X-run counts by grouping equal neighbours, keyed in order of
+    first appearance."""
+    counts: dict[int, int] = {}
+    for cell, group in itertools.groupby(cells):
+        if cell == "X":
+            r = sum(1 for _ in group)
+            counts[r] = counts.get(r, 0) + 1
+    return counts
+
+
+def weights_oracle(urn, log_base: str = "nat"):
+    """(mu, nu, correction) of an urn as the scorer computed them on every
+    call before it kept natural-log weights per urn."""
+    scale = {"nat": 1.0, "db": 10.0 / math.log(10.0)}[log_base]
+    c = urn.alphabet_size
+    log_ca = math.log(c * urn.no_repeat / (c - 1))
+    mu = {
+        r: scale * (math.log(a) + (r + 1) * math.log(c) - math.log(c - 1) - (r + 1) * log_ca)
+        for r, a in urn.alpha.items()
+    }
+    correction = math.log(urn.no_repeat * (1.0 + urn.mean_extra_cells))
+    return mu, -log_ca * scale, correction * scale
+
+
+def sample_figures_oracle(urn, overlap: int, count: int, seed: int, keep_trailing_o: bool = True):
+    """(cells, scrapped) of the urn sampler, drawn in batches of rows with
+    ``rng.choice`` and settled one row and one figure at a time."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array([1] + [r + 1 for r in sorted(urn.alpha)], dtype=np.int64)
+    probs = np.array([urn.no_repeat] + [urn.alpha[r] for r in sorted(urn.alpha)])
+    probs = probs / probs.sum()
+    figures: list[str] = []
+    scrapped = 0
+    max_rows = max(1, 30_000_000 // (8 * overlap))
+    while len(figures) < count:
+        need = count - len(figures)
+        rows = min(max(64, need + need // 8 + 16), max_rows)
+        block_lengths = lengths[rng.choice(lengths.size, size=(rows, overlap), p=probs)]
+        cum = block_lengths.cumsum(axis=1)
+        stop = (cum >= overlap).argmax(axis=1)
+        exact = cum[np.arange(rows), stop] == overlap
+        for row in range(rows):
+            if len(figures) == count:
+                break
+            if exact[row]:
+                cells = np.full(overlap, ord("X"), dtype=np.uint8)
+                cells[cum[row, : stop[row] + 1] - 1] = ord("O")
+                text = cells.tobytes().decode("ascii")
+                figures.append(text if keep_trailing_o else text[:-1])
+            else:
+                scrapped += 1
+    return figures, scrapped
 
 
 def circular_gram(circle, i: int, r: int) -> tuple:

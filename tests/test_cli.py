@@ -308,6 +308,11 @@ def test_simulate_bad_config_names_field(tmp_path, capsys):
     ("smoothing", True),
     ("fraction_right", "half"),
     ("language", {"c": 300}),
+    ("corpus_size", -5),
+    ("language", {"c": 4, "probs": "x"}),
+    ("language", {"c": "4"}),
+    ("language", {"c": 4, "probs": [[0.5, 0.25], [0.25]]}),
+    ("language", {"c": 2, "kind": "markov-1", "transition": {"a": 1}}),
 ])
 def test_simulate_bad_config_field_exits_3_naming_it(tmp_path, capsys, field, value):
     doc = {"language": {"c": 4}, "corpus_size": 1000, "n_pairs": 100,
@@ -315,7 +320,60 @@ def test_simulate_bad_config_field_exits_3_naming_it(tmp_path, capsys, field, va
     config = write(tmp_path, "config.json", json.dumps({**doc, field: value}))
     code, _, err = run(capsys, "simulate", "--config", config)
     assert code == 3
-    assert (field if field != "language" else "language.c") in err
+    if field == "language":
+        field = next((f"language.{k}" for k in ("probs", "transition") if k in value), "language.c")
+    assert field in err
+
+
+def test_simulate_rejects_nan_letter_probabilities(tmp_path, capsys):
+    config = write(tmp_path, "config.json", json.dumps({
+        "language": {"c": 4, "probs": [float("nan"), 0.5, 0.25, 0.25]},
+        "corpus_size": 1000, "n_pairs": 100, "overlap": 10, "fraction_right": 0.5, "seed": 1,
+    }))
+    code, _, err = run(capsys, "simulate", "--config", config)
+    assert code == 3
+    assert "letter_probs" in err
+
+
+@pytest.mark.parametrize("command", ["score", "sample"])
+@pytest.mark.parametrize("doc, field", [
+    ({"c": 26, "alpha": [0.1], "A": 0.9}, "alpha"),
+    ({"c": 26, "alpha": {"one": 0.1}, "A": 0.9}, "alpha"),
+    ({"c": 26, "alpha": {"1": 0.1}, "A": "most"}, "A"),
+    ({"c": [26], "alpha": {"1": 0.1}, "A": 0.9}, "c"),
+    ({"c": 26, "A": 0.9}, "alpha"),
+])
+def test_malformed_urn_artifact_exits_3_naming_the_field(tmp_path, capsys, command, doc, field):
+    urn = write(tmp_path, "urn.json", json.dumps(doc))
+    args = ["--figure", "XO"] if command == "score" else ["--overlap", "5", "--count", "2"]
+    code, _, err = run(capsys, command, "--urn", urn, *args)
+    assert code == 3
+    assert repr(field) in err
+
+
+@pytest.mark.parametrize("doc", ["[]", "7", '"urn"'])
+def test_urn_artifact_that_is_not_an_object_exits_3(tmp_path, capsys, doc):
+    urn = write(tmp_path, "urn.json", doc)
+    code, _, err = run(capsys, "score", "--urn", urn, "--figure", "XO")
+    assert code == 3
+    assert "JSON object" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("M", "abc"),
+    ("M", 5),
+    ("Nr", ["x"]),
+    ("N", "many"),
+    ("c", None),
+    ("r_max", [4]),
+    ("total_cards", "ten"),
+])
+def test_malformed_stats_artifact_exits_3_naming_the_field(tmp_path, capsys, field, value):
+    doc = {"N": 5, "c": 26, "r_max": 4, "M": [2, 1, 0, 0], "Nr": [1, 0], "total_cards": 9}
+    stats = write(tmp_path, "stats.json", json.dumps({**doc, field: value}))
+    code, _, err = run(capsys, "urn", "--from-stats", stats)
+    assert code == 3
+    assert repr(field) in err
 
 
 def test_artifacts_are_idempotent_with_reproducible(tmp_path, capsys):

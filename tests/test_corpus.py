@@ -17,12 +17,13 @@ from repfit.corpus import (
     stats_to_json,
 )
 from repfit.errors import ValidationError
-from repfit.figures import parse_figure, draws_needed
+from repfit.figures import parse_figure
 
 from oracles import (
     actual_oracle,
     apparent_oracle,
     circular_max_run,
+    draws_needed,
     rotation_figures,
 )
 

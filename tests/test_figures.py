@@ -1,20 +1,27 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repfit.errors import EmptyComparisonError, FigureParseError, ValidationError
 from repfit.figures import (
-    Alignment,
+    RepetitionFigure,
     RunSpectrum,
-    draws_needed,
     figure_from_comparison,
     parse_figure,
     run_spectrum,
 )
 
-from oracles import scan_run_spectrum
+from oracles import (
+    Alignment,
+    comparison_oracle,
+    draws_needed,
+    groupby_spectrum,
+    parse_oracle,
+    scan_run_spectrum,
+)
 
 figure_strings = st.text(alphabet="XO", max_size=64)
 
@@ -114,6 +121,64 @@ def test_comparison_shift_symmetry(a, b, shift):
     if Alignment(shift).overlap(len(a), len(b)) < 1:
         return
     assert figure_from_comparison(a, b, shift).cells == figure_from_comparison(b, a, -shift).cells
+
+
+# Letter codes, with values that wrap when stored as uint8 (-1, 256, 511) so
+# that mixed-dtype comparisons see unequal values with equal low bytes.
+letter_codes = st.lists(st.sampled_from([0, 1, 2, 3, -1, 255, 256, 511]), min_size=1, max_size=40)
+
+
+def as_message(kind: str, codes: list[int]):
+    if kind == "str":
+        return "".join(chr(0x41 + c % 256) for c in codes)
+    if kind == "list":
+        return list(codes)
+    if kind == "bytes":
+        return bytes(c % 256 for c in codes)
+    return np.array([c % 256 if kind == "uint8" else c for c in codes], dtype=kind)
+
+
+@given(
+    letter_codes,
+    letter_codes,
+    st.data(),
+    st.sampled_from([("str", "str"), ("list", "list"), ("bytes", "bytes"), ("uint8", "int16"),
+                     ("int16", "uint8"), ("uint8", "uint8"), ("list", "int16"),
+                     ("bytes", "uint8"), ("str", "list")]),
+)
+def test_comparison_equals_the_pairwise_oracle(a, b, data, kinds):
+    x, y = as_message(kinds[0], a), as_message(kinds[1], b)
+    # Every shift with overlap >= 1, down to a single cell at either end.
+    shift = data.draw(st.integers(min_value=1 - len(b), max_value=len(a) - 1))
+    cells = figure_from_comparison(x, y, shift).cells
+    assert cells == comparison_oracle(x, y, shift)
+    assert len(cells) == Alignment(shift).overlap(len(a), len(b))
+
+
+def test_comparison_of_python_letters_uses_python_equality():
+    # A list mixing str and int letters must not be coerced to strings.
+    assert figure_from_comparison(["a", 1, 2, "3"], ["a", "1", 2, 3], 0).cells == "XOXO"
+    assert figure_from_comparison("ABC", ["A", "X", "C"], 0).cells == "XOX"
+    assert figure_from_comparison([(1, 2), (3, 4)], [(1, 2), (3, 5)], 0).cells == "XO"
+
+
+@given(st.text(alphabet="XO", max_size=80) | st.text(max_size=40))
+def test_run_spectrum_equals_the_groupby_oracle_in_key_order(text):
+    spectrum = run_spectrum(RepetitionFigure(text))
+    assert list(spectrum.items()) == list(groupby_spectrum(text).items())
+
+
+@given(st.text(alphabet="XOxo 0\n\u00d7", max_size=30) | st.text(max_size=30))
+def test_parse_equals_the_per_character_oracle(text):
+    try:
+        expected = parse_oracle(text)
+    except FigureParseError as exc:
+        with pytest.raises(FigureParseError) as got:
+            parse_figure(text)
+        assert got.value.position == exc.position
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_figure(text).cells == expected
 
 
 def test_alignment_serialization():

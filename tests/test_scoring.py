@@ -3,24 +3,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repfit.corpus import build_corpus, compute_statistics
 from repfit.errors import ModelError, ValidationError
 from repfit.figures import RunSpectrum, parse_figure
 from repfit.scoring import (
+    ScoreWeights,
     odds_of_fit,
     right_relevant_proportion,
     score_to_json,
     score_with_weights,
     weights,
-    weights_from_json,
-    weights_to_json,
-    wrong_relevance_ratio,
     wrong_relevant_proportion,
 )
 from repfit.urn import UrnModel, exact_completion_probability, hatted_urn, urn_from_stats
 
-from oracles import completing_figures, scan_run_spectrum
+from oracles import completing_figures, scan_run_spectrum, weights_oracle, wrong_relevance_ratio
 
 
 def random_urn(
@@ -289,11 +289,50 @@ def test_score_input_validation():
         weights(urn, log_base="bits")
 
 
-def test_weights_artifact_round_trip():
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([2, 4, 26]),
+    st.sampled_from(["nat", "db"]),
+    st.sampled_from([None, 1e-9, 0.5]),
+    st.lists(st.text(alphabet="XO", max_size=60), min_size=1, max_size=5),
+    st.floats(min_value=-20, max_value=20),
+)
+def test_odds_are_bit_equal_to_weights_recomputed_per_call(seed, c, unit, floor, texts, prior):
+    # One urn scores several fits, so later calls use the per-urn weights
+    # kept by the first.
+    urn = random_urn(random.Random(seed), c=c)
+    mu, nu, correction = weights_oracle(urn, unit)
+    expected = ScoreWeights(alphabet_size=c, log_base=unit, mu=mu, nu=nu,
+                            correction=correction, floor=floor)
+    for text in texts:
+        assert weights(urn, unit, floor) == expected
+        figure = parse_figure(text)
+        try:
+            want = score_with_weights(expected, RunSpectrum(scan_run_spectrum(text)),
+                                      figure.length, prior)
+        except ModelError:
+            with pytest.raises(ModelError):
+                odds_of_fit(urn, figure=figure, prior_log_odds=prior, log_base=unit, floor=floor)
+            continue
+        got = odds_of_fit(urn, figure=figure, prior_log_odds=prior, log_base=unit, floor=floor)
+        assert got == want
+        assert got.log_odds == want.log_odds and got.posterior == want.posterior
+
+
+def test_weights_checks_its_arguments_on_every_call():
     urn = UrnModel(alpha={1: 0.07, 2: 0.02}, no_repeat=0.91, alphabet_size=26)
-    w = weights(urn, log_base="db", floor=1e-7)
-    again = weights_from_json(weights_to_json(w))
-    assert again == w
+    for _ in range(3):
+        for floor in (0.0, -1e-9):
+            with pytest.raises(ValidationError, match="floor"):
+                weights(urn, floor=floor)
+            with pytest.raises(ValidationError, match="floor"):
+                odds_of_fit(urn, figure=parse_figure("XO"), floor=floor)
+        assert weights(urn, floor=1e-9).floor == 1e-9
+        assert weights(urn).floor is None
+    tiny = UrnModel(alpha={1: 0.5}, no_repeat=0.5, alphabet_size=1)
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="at least 2 symbols"):
+            weights(tiny)
 
 
 def test_score_report_keys():

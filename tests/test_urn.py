@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repfit.urn
 
 from repfit.corpus import RepeatStatistics, build_corpus, compute_statistics
 from repfit.errors import ModelError, ValidationError
@@ -10,7 +15,6 @@ from repfit.urn import (
     acceptance_proportion,
     exact_completion_probability,
     figures_from_draws,
-    hatted_apparent,
     hatted_urn,
     sample_figures,
     urn_from_json,
@@ -18,7 +22,14 @@ from repfit.urn import (
     urn_to_json,
 )
 
-from oracles import block_probability, completing_figures
+from oracles import block_probability, completing_figures, hatted_apparent, sample_figures_oracle
+
+# Twelve card kinds: no-repeat plus r = 1..11.
+TWELVE_CARD_URN = UrnModel(
+    alpha={r: 0.4 * 0.5 ** r for r in range(1, 12)},
+    no_repeat=1.0 - sum(0.4 * 0.5 ** r for r in range(1, 12)),
+    alphabet_size=12,
+)
 
 
 def codes(text):
@@ -251,6 +262,25 @@ def test_sampler_card_frequencies_match_proportions():
             continue
         sigma = math.sqrt(draws.size * p * (1 - p))
         assert abs((draws == idx).sum() - expected) < 3 * sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([hatted_urn(2), TWELVE_CARD_URN]),
+    st.sampled_from([1, 2, 37]),
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=0, max_value=2**32),
+    st.booleans(),
+    st.sampled_from([1, 37, 100, 1 << 16]),
+)
+def test_sampler_equals_the_batched_oracle(urn, overlap, count, seed, keep_trailing_o, chunk):
+    # Small chunks put figures and scrapped rows on both sides of chunk
+    # boundaries; the draw stream, and so every figure, must not move.
+    with mock.patch.object(repfit.urn, "_SAMPLE_CHUNK", chunk):
+        figures, scrapped = sample_figures(urn, overlap, count, seed, keep_trailing_o)
+    expected, expected_scrapped = sample_figures_oracle(urn, overlap, count, seed, keep_trailing_o)
+    assert [f.cells for f in figures] == expected
+    assert scrapped == expected_scrapped
 
 
 def test_sampler_input_validation():
