@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simlab
 from .corpus import build_corpus, compute_statistics, stats_from_json, stats_to_json
 from .errors import ModelError, NormalizationError, ValidationError
 from .figures import figure_from_comparison, parse_figure
 from .scoring import odds_of_fit, score_to_json
-from .simlab import ExperimentConfig, run_experiment
 from .urn import hatted_urn, sample_figures, urn_from_json, urn_from_stats, urn_to_json
 
 EXIT_OK = 0
@@ -198,6 +198,11 @@ def _cmd_score(args) -> int:
         if args.b is None:
             raise ValidationError("--a requires --b (and usually --shift)")
         policy = _policy_from_args(args)
+        if policy.alphabet_size != urn.alphabet_size:
+            raise ValidationError(
+                f"the alphabet has {policy.alphabet_size} symbols "
+                f"but the urn was fitted to {urn.alphabet_size}"
+            )
         with open(args.a, "rb") as handle:
             text_a = policy.normalize(handle.read())
         with open(args.b, "rb") as handle:
@@ -248,8 +253,7 @@ def _cmd_simulate(args) -> int:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
-    config = ExperimentConfig.from_dict(doc)
-    report = run_experiment(config)
+    report = simlab.calibration_experiment(simlab.ExperimentConfig.from_dict(doc))
     _write_artifact(args.out, report.to_json())
     if args.csv:
         _write_artifact(args.csv, "\n".join(report.csv_rows()) + "\n")

@@ -86,6 +86,14 @@ class RunSpectrum:
                 cleaned[int(r)] = int(k)
         object.__setattr__(self, "counts", cleaned)
 
+    @classmethod
+    def _of_valid(cls, counts: dict[int, int]) -> "RunSpectrum":
+        """A spectrum of counts already known to be positive integers, taken
+        as they are."""
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "counts", counts)
+        return spectrum
+
     def get(self, r: int, default: int = 0) -> int:
         return self.counts.get(r, default)
 
@@ -99,10 +107,6 @@ class RunSpectrum:
     def repeated_letters(self) -> int:
         """Total X cells accounted for: sum of r * k_r."""
         return sum(r * k for r, k in self.counts.items())
-
-    @property
-    def total_runs(self) -> int:
-        return sum(self.counts.values())
 
     @property
     def cells_with_terminators(self) -> int:
@@ -134,7 +138,7 @@ def run_spectrum(figure: RepetitionFigure) -> RunSpectrum:
     for run in _X_RUN.findall(figure.cells):
         r = len(run)
         counts[r] = counts.get(r, 0) + 1
-    return RunSpectrum(counts)
+    return RunSpectrum._of_valid(counts)
 
 
 def _letters(message: Sequence) -> np.ndarray:

@@ -26,7 +26,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
+
+import numpy as np
 
 from .errors import ModelError, ValidationError
 from .figures import RepetitionFigure, RunSpectrum, run_spectrum
@@ -105,23 +108,32 @@ class FitScore:
 
 def weights(urn: UrnModel, log_base: str = "nat", floor: float | None = None) -> ScoreWeights:
     """Evidence weights of an urn against the flat-random null of the same
-    alphabet size: the urn's natural-log weights, computed once per urn,
-    times the unit scale, so every call gives the same bits."""
+    alphabet size: natural-log weights times the unit scale, built once per
+    (urn, unit, floor) and kept on the urn.  The arguments are checked on
+    every call."""
     scale = _unit_scale(log_base)
     c = urn.alphabet_size
     if c < 2:
         raise ValidationError(f"scoring needs an alphabet of at least 2 symbols, got {c}")
-    if floor is not None and floor <= 0:
-        raise ValidationError(f"smoothing floor must be positive, got {floor}")
-    mu, nu, correction = urn.nat_weights
-    return ScoreWeights(
-        alphabet_size=c,
-        log_base=log_base,
-        mu={r: scale * m for r, m in mu.items()},
-        nu=nu * scale,
-        correction=correction * scale,
-        floor=floor,
-    )
+    if floor is not None and not 0 < floor < 1:
+        raise ValidationError(f"smoothing floor must be finite and in (0, 1), got {floor}")
+    cached = urn.score_weights.get((log_base, floor))
+    if cached is None:
+        log_ca = math.log(c * urn.no_repeat / (c - 1))
+        mu = {
+            r: scale * (math.log(a) + (r + 1) * math.log(c) - math.log(c - 1) - (r + 1) * log_ca)
+            for r, a in urn.alpha.items()
+        }
+        correction = math.log(urn.no_repeat * (1.0 + urn.mean_extra_cells))
+        cached = urn.score_weights[log_base, floor] = ScoreWeights(
+            alphabet_size=c,
+            log_base=log_base,
+            mu=MappingProxyType(mu),
+            nu=-log_ca * scale,
+            correction=correction * scale,
+            floor=floor,
+        )
+    return cached
 
 
 def _check_spectrum_fits(spectrum: RunSpectrum, overlap: int) -> int:
@@ -173,37 +185,18 @@ def wrong_relevant_proportion(alphabet_size: int, spectrum: RunSpectrum, overlap
     return value
 
 
-def score_with_weights(
-    score_weights: ScoreWeights,
-    spectrum: RunSpectrum,
-    overlap: int,
-    prior_log_odds: float = 0.0,
-) -> FitScore:
-    """Combine prior, evidence and correction into a fit score.
-
-    The prior is given in the weights' own log unit.  The posterior is the
-    probability the fit is right: q/(1+q), evaluated stably from log q.
-    """
-    if not math.isfinite(prior_log_odds):
-        raise ValidationError(f"prior log-odds must be finite, got {prior_log_odds}")
-    _check_spectrum_fits(spectrum, overlap)
-    evidence = sum(score_weights.mu_for(r) * k for r, k in spectrum.items())
-    evidence -= score_weights.nu * overlap
-    log_odds = prior_log_odds + evidence + score_weights.correction
-    log_odds_nat = log_odds / _unit_scale(score_weights.log_base)
-    if log_odds_nat >= 0:
-        posterior = 1.0 / (1.0 + math.exp(-log_odds_nat))
-    else:
-        q = math.exp(log_odds_nat)
-        posterior = q / (1.0 + q)
-    return FitScore(
-        prior_log_odds=prior_log_odds,
-        evidence=evidence,
-        correction=score_weights.correction,
-        log_odds=log_odds,
-        posterior=posterior,
-        log_base=score_weights.log_base,
-    )
+def _combine(w: ScoreWeights, prior_log_odds, run_evidence, overlap):
+    """The scoring rule, on floats or numpy arrays alike: evidence
+    ``run_evidence - nu*L``, log-odds ``prior + evidence + correction`` and the
+    posterior q/(1+q), evaluated stably from log q.  The prior is in the
+    weights' own log unit.  Returns (evidence, log_odds, posterior)."""
+    evidence = run_evidence - w.nu * overlap
+    log_odds = prior_log_odds + evidence + w.correction
+    x = log_odds / _unit_scale(w.log_base)
+    e = np.exp(-abs(x))
+    # e ** True is e and e ** False is 1.0, exactly: 1/(1+e^-x) for x >= 0
+    # and e^x/(1+e^x) below, without a branch that arrays cannot take.
+    return evidence, log_odds, e ** (x < 0) / (1.0 + e)
 
 
 def odds_of_fit(
@@ -215,7 +208,11 @@ def odds_of_fit(
     log_base: str = "nat",
     floor: float | None = None,
 ) -> FitScore:
-    """Score a fit from a figure, or from a spectrum plus overlap."""
+    """Score a fit from a figure, or from a spectrum plus overlap.
+
+    The prior is given in the chosen log unit; the evidence sums
+    ``mu_r * k_r`` over the spectrum's run lengths in its key order.
+    """
     if figure is not None:
         if spectrum is not None or overlap is not None:
             raise ValidationError("pass either a figure or a spectrum with an overlap, not both")
@@ -223,7 +220,20 @@ def odds_of_fit(
         overlap = figure.length
     elif spectrum is None or overlap is None:
         raise ValidationError("scoring a spectrum requires its overlap")
-    return score_with_weights(weights(urn, log_base, floor), spectrum, overlap, prior_log_odds)
+    w = weights(urn, log_base, floor)
+    if not math.isfinite(prior_log_odds):
+        raise ValidationError(f"prior log-odds must be finite, got {prior_log_odds}")
+    _check_spectrum_fits(spectrum, overlap)
+    run_evidence = sum(w.mu_for(r) * k for r, k in spectrum.items())
+    evidence, log_odds, posterior = _combine(w, prior_log_odds, run_evidence, overlap)
+    return FitScore(
+        prior_log_odds=prior_log_odds,
+        evidence=evidence,
+        correction=w.correction,
+        log_odds=log_odds,
+        posterior=float(posterior),
+        log_base=log_base,
+    )
 
 
 def score_to_json(score: FitScore, **extra) -> str:

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .corpus import build_corpus, compute_statistics
 from .errors import ValidationError
 from .rng import checked_rng
-from .scoring import weights
+from .scoring import _combine, weights
 from .urn import hatted_urn, urn_from_stats
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Traffic",
     "calibration_experiment",
     "generate_traffic",
-    "run_experiment",
 ]
 
 
@@ -152,9 +151,6 @@ class Traffic:
         """Boolean figure matrix of the aligned ciphertext region, one row per pair."""
         return self.cipher_a[:, self.shift :] == self.cipher_b[:, : self.overlap]
 
-    def plain_coincidences(self) -> np.ndarray:
-        return self.plain_a[:, self.shift :] == self.plain_b[:, : self.overlap]
-
 
 def generate_traffic(
     lm: LanguageModel,
@@ -239,15 +235,6 @@ def run_length_table(coincidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (starts + 1) // (width + 1), ends - starts
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass(frozen=True)
 class PosteriorBin:
     """One log-odds interval of scored comparisons."""
@@ -301,18 +288,29 @@ class ExperimentReport:
         return rows
 
 
-_CONFIG_DEFAULTS = {
-    "msg_len": None,
-    "r_max": 16,
-    "n_decodes": 50,
-    "bin_width": 1.0,
-    "urn": "from-corpus",
-    "smoothing": "auto",
+# JSON type of each config field; 'urn' and 'smoothing' are checked below.
+_FIELD_TYPES = {
+    "language": (dict, "an object"),
+    "corpus_size": (int, "an integer"),
+    "n_pairs": (int, "an integer"),
+    "overlap": (int, "an integer"),
+    "fraction_right": ((int, float), "a number"),
+    "seed": (int, "an integer"),
+    "msg_len": ((int, type(None)), "an integer or null"),
+    "r_max": (int, "an integer"),
+    "n_decodes": (int, "an integer"),
+    "bin_width": ((int, float), "a number"),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One calibration experiment, with the only copy of its defaults.
+
+    ``echo`` is the document the config was read from, which the report
+    repeats; it is empty for a config built in code.
+    """
+
     language: LanguageModel
     corpus_size: int
     n_pairs: int
@@ -329,19 +327,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        def read(name, kind, label, required=True):
-            if name not in doc:
-                if required:
-                    raise ValidationError(f"experiment config is missing field {name!r}")
-                return _CONFIG_DEFAULTS[name]
-            value = doc[name]
-            if not isinstance(value, kind) or isinstance(value, bool):
+        """Read and type-check a config document; absent optional fields
+        take the defaults above."""
+        values = {}
+        for f in fields(cls):
+            if f.name in doc and f.name != "echo":
+                values[f.name] = doc[f.name]
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"experiment config is missing field {f.name!r}")
+        for name in doc:
+            if name not in values:
+                raise ValidationError(f"experiment config has unknown field {name!r}")
+        for name, (kind, label) in _FIELD_TYPES.items():
+            value = values.get(name)
+            if name in values and (not isinstance(value, kind) or isinstance(value, bool)):
                 raise ValidationError(
                     f"experiment config field {name!r} must be {label}, got {value!r}"
                 )
-            return value
-
-        lang = read("language", dict, "an object")
+        lang = values["language"]
         if "c" not in lang:
             raise ValidationError("experiment config is missing field 'language.c'")
         c = lang["c"]
@@ -349,57 +352,42 @@ class ExperimentConfig:
             raise ValidationError(
                 f"experiment config field 'language.c' must be an integer, got {c!r}"
             )
-        lm = LanguageModel(
+        values["language"] = LanguageModel(
             alphabet_size=c,
             kind=lang.get("kind", "iid-skewed"),
             letter_probs=_language_numbers(lang, "probs"),
             transition=_language_numbers(lang, "transition"),
         )
-        known = {"language", "corpus_size", "n_pairs", "overlap", "fraction_right", "seed"} | set(
-            _CONFIG_DEFAULTS
-        )
-        for name in doc:
-            if name not in known:
-                raise ValidationError(f"experiment config has unknown field {name!r}")
-        urn_kind = doc.get("urn", "from-corpus")
-        if urn_kind not in ("from-corpus", "hatted"):
+        if values.get("urn", "from-corpus") not in ("from-corpus", "hatted"):
             raise ValidationError(
-                f"experiment config field 'urn' must be 'from-corpus' or 'hatted', got {urn_kind!r}"
+                "experiment config field 'urn' must be 'from-corpus' or 'hatted', "
+                f"got {values['urn']!r}"
             )
-        smoothing = doc.get("smoothing", "auto")
+        smoothing = values.get("smoothing", "auto")
         number = isinstance(smoothing, (int, float)) and not isinstance(smoothing, bool)
-        if not (smoothing in ("auto", None) or number and smoothing > 0):
+        if not (smoothing in ("auto", None) or number):
             raise ValidationError(
-                "experiment config field 'smoothing' must be 'auto', null or a positive number, "
+                "experiment config field 'smoothing' must be 'auto', null or a number, "
                 f"got {smoothing!r}"
             )
-        return cls(
-            language=lm,
-            corpus_size=read("corpus_size", int, "an integer"),
-            n_pairs=read("n_pairs", int, "an integer"),
-            overlap=read("overlap", int, "an integer"),
-            fraction_right=float(read("fraction_right", (int, float), "a number")),
-            seed=read("seed", int, "an integer"),
-            msg_len=read("msg_len", (int, type(None)), "an integer or null", required=False),
-            r_max=read("r_max", int, "an integer", required=False),
-            n_decodes=read("n_decodes", int, "an integer", required=False),
-            bin_width=float(read("bin_width", (int, float), "a number", required=False)),
-            urn=urn_kind,
-            smoothing=smoothing,
-            echo=dict(doc),
-        )
+        return cls(**values, echo=dict(doc))
 
 
 def _language_numbers(lang: dict, name: str) -> np.ndarray | None:
-    """The ``language.<name>`` array of numbers, or None if it is absent."""
+    """The ``language.<name>`` array of JSON numbers, or None if it is absent."""
     value = lang.get(name)
     if value is None:
         return None
     if isinstance(value, list):
         try:
-            return np.asarray(value, dtype=float)
+            numbers = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
-            pass
+            numbers = None
+        # numpy would read true as 1 and "0.5" as 0.5.
+        if numbers is not None and all(
+            type(x) in (int, float) for x in np.asarray(value, dtype=object).flat
+        ):
+            return numbers
     raise ValidationError(
         f"experiment config field 'language.{name}' must be an array of numbers, got {value!r}"
     )
@@ -413,48 +401,37 @@ def _corpus_texts(lm: LanguageModel, total: int, n_decodes: int, rng: np.random.
     return [lm.sample((length,), rng) for length in lengths]
 
 
-def calibration_experiment(
-    lm: LanguageModel,
-    corpus_size: int,
-    n_pairs: int,
-    overlap: int,
-    fraction_right: float,
-    seed: int,
-    msg_len: int | None = None,
-    r_max: int = 16,
-    n_decodes: int = 50,
-    bin_width: float = 1.0,
-    urn: str = "from-corpus",
-    smoothing: str | float | None = "auto",
-    config_echo: dict | None = None,
-) -> ExperimentReport:
+def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Fit an urn, score labeled traffic with the true prior, bin by log-odds.
 
     ``smoothing="auto"`` floors unseen card proportions at half a card of the
-    fitted corpus, so rare long runs in traffic remain scorable; pass None to
-    keep the scorer's hard error instead.  Deterministic for a given seed.
+    fitted corpus, so rare long runs in traffic remain scorable; None keeps
+    the scorer's hard error instead.  Each pair's log-odds follow
+    ``repfit.scoring``'s rule, with its runs' weights summed in run order.
+    Deterministic for a given seed.
     """
-    if not bin_width > 0:
-        raise ValidationError(f"bin_width must be positive, got {bin_width}")
-    if n_decodes < 1:
-        raise ValidationError(f"n_decodes must be >= 1, got {n_decodes}")
-    if corpus_size < 0:
-        raise ValidationError(f"corpus_size must be >= 0, got {corpus_size}")
-    msg_len = overlap if msg_len is None else msg_len
-    master = checked_rng(seed)
+    lm, n_pairs, overlap = config.language, config.n_pairs, config.overlap
+    if not config.bin_width > 0:
+        raise ValidationError(f"bin_width must be positive, got {config.bin_width}")
+    if config.n_decodes < 1:
+        raise ValidationError(f"n_decodes must be >= 1, got {config.n_decodes}")
+    if config.corpus_size < 0:
+        raise ValidationError(f"corpus_size must be >= 0, got {config.corpus_size}")
+    msg_len = overlap if config.msg_len is None else config.msg_len
+    master = checked_rng(config.seed)
 
-    if urn == "from-corpus":
-        corpus = build_corpus(_corpus_texts(lm, corpus_size, n_decodes, master), lm.alphabet_size)
-        stats = compute_statistics(corpus, r_max=r_max)
+    if config.urn == "from-corpus":
+        texts = _corpus_texts(lm, config.corpus_size, config.n_decodes, master)
+        stats = compute_statistics(build_corpus(texts, lm.alphabet_size), r_max=config.r_max)
         model = urn_from_stats(stats)
         # Half a card keeps unseen long runs scorable without inventing
         # meaningful evidence mass.
-        floor = 0.5 / stats.total_cards if smoothing == "auto" else smoothing
-    elif urn == "hatted":
+        floor = 0.5 / stats.total_cards if config.smoothing == "auto" else config.smoothing
+    elif config.urn == "hatted":
         model = hatted_urn(lm.alphabet_size)
-        floor = None if smoothing == "auto" else smoothing
+        floor = None if config.smoothing == "auto" else config.smoothing
     else:
-        raise ValidationError(f"unknown urn kind {urn!r}")
+        raise ValidationError(f"unknown urn kind {config.urn!r}")
 
     w = weights(model, log_base="nat", floor=floor)
 
@@ -463,22 +440,17 @@ def calibration_experiment(
         n_pairs,
         msg_len,
         overlap,
-        fraction_right,
+        config.fraction_right,
         seed=int(master.integers(0, 2**63)),
     )
 
-    coinc = traffic.cipher_coincidences()
-    rows, lengths = run_length_table(coinc)
+    rows, lengths = run_length_table(traffic.cipher_coincidences())
     max_len = int(lengths.max()) if lengths.size else 0
-    mu_table = np.zeros(max_len + 1)
-    for r in range(1, max_len + 1):
-        mu_table[r] = w.mu_for(r)
+    mu_table = np.array([0.0] + [w.mu_for(r) for r in range(1, max_len + 1)])
+    run_evidence = np.bincount(rows, weights=mu_table[lengths], minlength=n_pairs)
+    _, log_odds, posterior = _combine(w, traffic.prior_log_odds, run_evidence, overlap)
 
-    log_odds = np.full(n_pairs, traffic.prior_log_odds + w.correction - w.nu * overlap)
-    np.add.at(log_odds, rows, mu_table[lengths])
-    posterior = _sigmoid(log_odds)
-
-    bin_ids = np.floor(log_odds / bin_width).astype(np.int64)
+    bin_ids = np.floor(log_odds / config.bin_width).astype(np.int64)
     unique_ids, inverse = np.unique(bin_ids, return_inverse=True)
     n_total = np.bincount(inverse)
     n_right = np.bincount(inverse, weights=traffic.is_right.astype(float))
@@ -491,8 +463,8 @@ def calibration_experiment(
         p = float(mean_post[i])
         bins.append(
             PosteriorBin(
-                lo=float(bin_id * bin_width),
-                hi=float((bin_id + 1) * bin_width),
+                lo=float(bin_id * config.bin_width),
+                hi=float((bin_id + 1) * config.bin_width),
                 n_total=n,
                 n_right=right,
                 mean_posterior=p,
@@ -513,36 +485,4 @@ def calibration_experiment(
         "std_log_odds_wrong": float(log_odds[~right_mask].std()),
         "max_run_scored": max_len,
     }
-    echo = dict(config_echo) if config_echo else {
-        "language": {"c": lm.alphabet_size, "kind": lm.kind},
-        "corpus_size": corpus_size,
-        "n_pairs": n_pairs,
-        "overlap": overlap,
-        "msg_len": msg_len,
-        "fraction_right": fraction_right,
-        "seed": seed,
-        "r_max": r_max,
-        "n_decodes": n_decodes,
-        "bin_width": bin_width,
-        "urn": urn,
-        "smoothing": "auto" if smoothing == "auto" else smoothing,
-    }
-    return ExperimentReport(config=echo, bins=tuple(bins), totals=totals)
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    return calibration_experiment(
-        config.language,
-        config.corpus_size,
-        config.n_pairs,
-        config.overlap,
-        config.fraction_right,
-        config.seed,
-        msg_len=config.msg_len,
-        r_max=config.r_max,
-        n_decodes=config.n_decodes,
-        bin_width=config.bin_width,
-        urn=config.urn,
-        smoothing=config.smoothing,
-        config_echo=config.echo or None,
-    )
+    return ExperimentReport(config=dict(config.echo), bins=tuple(bins), totals=totals)

@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -99,19 +98,10 @@ class UrnModel:
         return sum(r * a for r, a in self.alpha.items())
 
     @cached_property
-    def nat_weights(self) -> tuple[Mapping[int, float], float, float]:
-        """Natural-log evidence weights (mu, nu, correction) against the
-        flat-random urn of the same alphabet, computed once per urn and
-        read-only; see ``repfit.scoring``.  Needs an alphabet of at least 2
-        symbols."""
-        c = self.alphabet_size
-        log_ca = math.log(c * self.no_repeat / (c - 1))
-        mu = {
-            r: math.log(a) + (r + 1) * math.log(c) - math.log(c - 1) - (r + 1) * log_ca
-            for r, a in self.alpha.items()
-        }
-        correction = math.log(self.no_repeat * (1.0 + self.mean_extra_cells))
-        return MappingProxyType(mu), -log_ca, correction
+    def score_weights(self) -> dict:
+        """This urn's ``repfit.scoring.ScoreWeights`` by (unit, floor), kept
+        by ``repfit.scoring.weights``."""
+        return {}
 
 
 def urn_from_stats(stats: RepeatStatistics) -> UrnModel:

@@ -5,9 +5,11 @@ comparisons over all rotation positions, exhaustive enumeration of figures,
 and hand-rolled scans, plus the earlier implementations of rewritten
 package functions, which exactness tests require the package to equal.  None
 of it shares code with the package; the normalizer and the figure parser
-raise the package's own exception types so that their errors can be compared
+raise the package's own exception types, and the scoring oracle builds the
+package's ``FitScore`` from given weights, so that results can be compared
 field by field.  It also holds helpers that only tests use (``Alignment``,
-``draws_needed``, ``hatted_apparent``, ``wrong_relevance_ratio``).
+``draws_needed``, ``hatted_apparent``, ``wrong_relevance_ratio``,
+``plain_coincidences``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from math import comb, factorial
 import numpy as np
 
 from repfit.errors import FigureParseError, NormalizationError, ValidationError
+from repfit.scoring import FitScore
 
 
 def normalize_oracle(policy, data: bytes) -> np.ndarray:
@@ -150,6 +153,29 @@ def weights_oracle(urn, log_base: str = "nat"):
     }
     correction = math.log(urn.no_repeat * (1.0 + urn.mean_extra_cells))
     return mu, -log_ca * scale, correction * scale
+
+
+def score_with_weights_oracle(score_weights, spectrum, overlap: int, prior_log_odds: float):
+    """FitScore of a fit as the scorer combined prior, evidence and correction
+    before ``odds_of_fit`` and ``calibration_experiment`` shared one rule,
+    with the logistic evaluated on ``np.exp``."""
+    evidence = sum(score_weights.mu_for(r) * k for r, k in spectrum.items())
+    evidence -= score_weights.nu * overlap
+    log_odds = prior_log_odds + evidence + score_weights.correction
+    x = log_odds / {"nat": 1.0, "db": 10.0 / math.log(10.0)}[score_weights.log_base]
+    if x >= 0:
+        posterior = 1.0 / (1.0 + np.exp(-x))
+    else:
+        q = np.exp(x)
+        posterior = q / (1.0 + q)
+    return FitScore(
+        prior_log_odds=prior_log_odds,
+        evidence=evidence,
+        correction=score_weights.correction,
+        log_odds=log_odds,
+        posterior=float(posterior),
+        log_base=score_weights.log_base,
+    )
 
 
 def sample_figures_oracle(urn, overlap: int, count: int, seed: int, keep_trailing_o: bool = True):
@@ -305,6 +331,12 @@ def traffic_oracle(lm, n_pairs: int, msg_len: int, overlap: int, fraction_right:
     cipher_a = (plain[0].astype(int) + key[:, :msg_len]) % c
     cipher_b = (plain[1].astype(int) + key_b) % c
     return plain[0], plain[1], cipher_a, cipher_b, is_right
+
+
+def plain_coincidences(traffic) -> np.ndarray:
+    """Boolean figure matrix of a traffic batch's aligned plaintext region,
+    one row per pair."""
+    return traffic.plain_a[:, traffic.shift :] == traffic.plain_b[:, : traffic.overlap]
 
 
 def completing_figures(overlap: int):

@@ -19,7 +19,7 @@ from repfit.scoring import (
     weights,
     wrong_relevant_proportion,
 )
-from repfit.simlab import LanguageModel, calibration_experiment, run_length_table
+from repfit.simlab import ExperimentConfig, LanguageModel, calibration_experiment, run_length_table
 from repfit.urn import (
     UrnModel,
     acceptance_proportion,
@@ -209,10 +209,10 @@ def test_criterion_06_wrong_model_spectra():
 def test_criterion_07_end_to_end_calibration():
     started = time.perf_counter()
     lm = LanguageModel(alphabet_size=4, letter_probs=np.array([0.55, 0.25, 0.15, 0.05]))
-    report = calibration_experiment(
+    report = calibration_experiment(ExperimentConfig(
         lm, corpus_size=100_000, n_pairs=200_000, overlap=50,
         fraction_right=0.5, seed=20250808,
-    )
+    ))
     gated = [b for b in report.bins if b.n_total >= 2000]
     violations = []
     for b in gated:

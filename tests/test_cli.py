@@ -189,6 +189,11 @@ def test_score_from_message_files(tmp_path, capsys):
                      "--shift", "0", "--out", str(out))
     assert code == 0
     assert abs(json.loads(out.read_text())["log_odds"]) < 1e-9
+    # Letters of a 25-symbol alphabet cannot be scored against a 26-symbol urn.
+    code, _, err = run(capsys, "score", "--urn", str(urn), "--a", a, "--b", b,
+                       "--alphabet", string.ascii_uppercase[:25], "--strip")
+    assert code == 3
+    assert "25" in err and "26" in err
 
 
 def test_score_bad_figure_exit_code(tmp_path, capsys):
@@ -212,6 +217,12 @@ def test_score_unknown_run_length_exit_code(tmp_path, capsys):
     code, _, _ = run(capsys, "score", "--urn", str(urn), "--figure", "XXXO",
                      "--smoothing-floor", "1e-6")
     assert code == 0
+    # A floor must be a proportion: finite and strictly between 0 and 1.
+    for floor in ("nan", "inf", "0", "1", "1.5", "-1e-9"):
+        code, _, err = run(capsys, "score", "--urn", str(urn), "--figure", "XXXO",
+                           f"--smoothing-floor={floor}")
+        assert code == 3
+        assert "smoothing floor" in err
 
 
 def test_sample_empty_alpha_urn(tmp_path, capsys):
@@ -313,6 +324,11 @@ def test_simulate_bad_config_names_field(tmp_path, capsys):
     ("language", {"c": "4"}),
     ("language", {"c": 4, "probs": [[0.5, 0.25], [0.25]]}),
     ("language", {"c": 2, "kind": "markov-1", "transition": {"a": 1}}),
+    ("smoothing", math.inf),
+    ("smoothing", 1.5),
+    ("language", {"c": 4, "probs": [True, False, 0, 0]}),
+    ("language", {"c": 2, "kind": "markov-1", "transition": [[True, 0], [0.5, 0.5]]}),
+    ("language", {"c": 4, "probs": ["0.25", "0.25", "0.25", "0.25"]}),
 ])
 def test_simulate_bad_config_field_exits_3_naming_it(tmp_path, capsys, field, value):
     doc = {"language": {"c": 4}, "corpus_size": 1000, "n_pairs": 100,

@@ -14,13 +14,18 @@ from repfit.scoring import (
     odds_of_fit,
     right_relevant_proportion,
     score_to_json,
-    score_with_weights,
     weights,
     wrong_relevant_proportion,
 )
 from repfit.urn import UrnModel, exact_completion_probability, hatted_urn, urn_from_stats
 
-from oracles import completing_figures, scan_run_spectrum, weights_oracle, wrong_relevance_ratio
+from oracles import (
+    completing_figures,
+    scan_run_spectrum,
+    score_with_weights_oracle,
+    weights_oracle,
+    wrong_relevance_ratio,
+)
 
 
 def random_urn(
@@ -60,7 +65,7 @@ def test_mu_plug_in_example():
     # Cross-check: the log form reproduces the explicit odds product.
     spectrum = RunSpectrum({2: 2})
     overlap = 9
-    score = score_with_weights(w, spectrum, overlap, prior_log_odds=math.log(3.0))
+    score = odds_of_fit(urn, spectrum=spectrum, overlap=overlap, prior_log_odds=math.log(3.0))
     direct = (
         3.0
         * right_relevant_proportion(urn, spectrum, overlap)
@@ -245,8 +250,9 @@ def test_deciban_weights_are_scaled_natural_weights():
     for r in nat.mu:
         assert db.mu[r] == pytest.approx(nat.mu[r] * scale, rel=1e-12)
     spectrum, overlap = RunSpectrum({1: 3, 4: 1}), 30
-    p_nat = score_with_weights(nat, spectrum, overlap, prior_log_odds=0.5).posterior
-    p_db = score_with_weights(db, spectrum, overlap, prior_log_odds=0.5 * scale).posterior
+    p_nat = odds_of_fit(urn, spectrum=spectrum, overlap=overlap, prior_log_odds=0.5).posterior
+    p_db = odds_of_fit(urn, spectrum=spectrum, overlap=overlap, prior_log_odds=0.5 * scale,
+                       log_base="db").posterior
     assert p_nat == pytest.approx(p_db, rel=1e-12)
 
 
@@ -308,8 +314,8 @@ def test_odds_are_bit_equal_to_weights_recomputed_per_call(seed, c, unit, floor,
         assert weights(urn, unit, floor) == expected
         figure = parse_figure(text)
         try:
-            want = score_with_weights(expected, RunSpectrum(scan_run_spectrum(text)),
-                                      figure.length, prior)
+            want = score_with_weights_oracle(expected, RunSpectrum(scan_run_spectrum(text)),
+                                             figure.length, prior)
         except ModelError:
             with pytest.raises(ModelError):
                 odds_of_fit(urn, figure=figure, prior_log_odds=prior, log_base=unit, floor=floor)
@@ -322,7 +328,7 @@ def test_odds_are_bit_equal_to_weights_recomputed_per_call(seed, c, unit, floor,
 def test_weights_checks_its_arguments_on_every_call():
     urn = UrnModel(alpha={1: 0.07, 2: 0.02}, no_repeat=0.91, alphabet_size=26)
     for _ in range(3):
-        for floor in (0.0, -1e-9):
+        for floor in (0.0, -1e-9, 1.0, 1.5, math.inf, math.nan):
             with pytest.raises(ValidationError, match="floor"):
                 weights(urn, floor=floor)
             with pytest.raises(ValidationError, match="floor"):

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ from hypothesis import strategies as st
 from repfit import simlab
 from repfit.errors import ModelError, ValidationError
 from repfit.figures import figure_from_comparison
+from repfit.scoring import odds_of_fit
 from repfit.simlab import (
     ExperimentConfig,
     LanguageModel,
     calibration_experiment,
     generate_traffic,
-    run_experiment,
     run_length_table,
 )
 
-from oracles import markov_sample_oracle, scan_run_spectrum, traffic_oracle
+from oracles import markov_sample_oracle, plain_coincidences, scan_run_spectrum, traffic_oracle
 
 SKEWED4 = LanguageModel(alphabet_size=4, letter_probs=np.array([0.55, 0.25, 0.15, 0.05]))
 UNIFORM4 = LanguageModel(alphabet_size=4)
@@ -188,7 +189,7 @@ def test_right_pairs_coincide_exactly_where_plaintexts_do():
     traffic = generate_traffic(SKEWED4, n_pairs=500, msg_len=40, overlap=25,
                                fraction_right=0.4, seed=9)
     cipher = traffic.cipher_coincidences()
-    plain = traffic.plain_coincidences()
+    plain = plain_coincidences(traffic)
     right = traffic.is_right
     assert np.array_equal(cipher[right], plain[right])
     # And the figure module agrees with the matrix route on a few pairs.
@@ -245,10 +246,10 @@ def test_run_length_table_matches_scan():
 
 
 def test_uniform_language_with_hatted_urn_collapses_to_the_prior():
-    report = calibration_experiment(
+    report = calibration_experiment(ExperimentConfig(
         UNIFORM4, corpus_size=0, n_pairs=5_000, overlap=30,
         fraction_right=0.3, seed=21, urn="hatted",
-    )
+    ))
     assert len(report.bins) == 1
     bin_ = report.bins[0]
     prior_posterior = 0.3
@@ -260,18 +261,18 @@ def test_uniform_language_with_hatted_urn_collapses_to_the_prior():
 def test_experiment_is_reproducible_byte_for_byte():
     kwargs = dict(corpus_size=20_000, n_pairs=3_000, overlap=30,
                   fraction_right=0.5, seed=77, r_max=12)
-    first = calibration_experiment(SKEWED4, **kwargs)
-    second = calibration_experiment(SKEWED4, **kwargs)
+    first = calibration_experiment(ExperimentConfig(SKEWED4, **kwargs))
+    second = calibration_experiment(ExperimentConfig(SKEWED4, **kwargs))
     assert first.to_json() == second.to_json()
 
 
 def test_skewed_experiment_is_roughly_calibrated_and_separates_classes():
     # Full-strength calibration runs in the acceptance suite; this is the
     # same pipeline at a tenth of the size with a loosened gate.
-    report = calibration_experiment(
+    report = calibration_experiment(ExperimentConfig(
         SKEWED4, corpus_size=40_000, n_pairs=20_000, overlap=50,
         fraction_right=0.5, seed=2025,
-    )
+    ))
     totals = report.totals
     assert totals["n_pairs"] == 20_000
     assert totals["mean_log_odds_right"] > totals["mean_log_odds_wrong"] + 1.0
@@ -293,15 +294,15 @@ def test_markov_language_runs_through_the_pipeline():
         [0.25, 0.25, 0.25, 0.25],
     ])
     lm = LanguageModel(alphabet_size=4, kind="markov-1", transition=sticky)
-    report = calibration_experiment(
+    report = calibration_experiment(ExperimentConfig(
         lm, corpus_size=30_000, n_pairs=10_000, overlap=40,
         fraction_right=0.5, seed=606,
-    )
+    ))
     assert sum(b.n_total for b in report.bins) == 10_000
     assert report.totals["mean_log_odds_right"] > report.totals["mean_log_odds_wrong"]
 
 
-def test_markov_config_through_run_experiment():
+def test_markov_config_through_calibration_experiment():
     doc = {
         "language": {
             "c": 2,
@@ -311,16 +312,16 @@ def test_markov_config_through_run_experiment():
         "corpus_size": 10_000, "n_pairs": 2_000, "overlap": 20,
         "fraction_right": 0.5, "seed": 13,
     }
-    report = run_experiment(ExperimentConfig.from_dict(doc))
+    report = calibration_experiment(ExperimentConfig.from_dict(doc))
     assert report.config == doc
     assert report.totals["n_pairs"] == 2_000
 
 
 def test_report_totals_and_csv_shape():
-    report = calibration_experiment(
+    report = calibration_experiment(ExperimentConfig(
         SKEWED4, corpus_size=10_000, n_pairs=2_000, overlap=20,
         fraction_right=0.25, seed=5,
-    )
+    ))
     assert report.totals["n_right"] == 500
     rows = report.csv_rows()
     assert rows[0].startswith("lo,hi,n_total")
@@ -333,10 +334,62 @@ def test_unscorable_run_without_smoothing_propagates():
     # Tiny corpus, long overlap: traffic will contain runs the corpus never
     # produced; with smoothing disabled the scorer's error surfaces.
     with pytest.raises(ModelError, match="gramme"):
-        calibration_experiment(
+        calibration_experiment(ExperimentConfig(
             SKEWED4, corpus_size=400, n_pairs=4_000, overlap=50,
             fraction_right=0.5, seed=3, r_max=5, smoothing=None,
-        )
+        ))
+
+
+def _spy(calls, name, fn):
+    def spy(*args, **kwargs):
+        calls[name] = (args, kwargs, fn(*args, **kwargs))
+        return calls[name][2]
+    return spy
+
+
+@given(
+    c=st.sampled_from([2, 4, 26]),
+    urn=st.sampled_from(["from-corpus", "hatted"]),
+    smoothing=st.sampled_from([None, "auto", 1e-4]),
+    overlap=st.integers(1, 60),
+    shift=st.integers(0, 5),
+    fraction_right=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32),
+)
+def test_experiment_log_odds_match_odds_of_fit_row_by_row(
+    c, urn, smoothing, overlap, shift, fraction_right, seed
+):
+    # The experiment sums each row's weights run by run, odds_of_fit sums
+    # mu_r * k_r by run length, so the two agree to rounding, not bit for bit.
+    raw = np.random.default_rng(seed).random(c) + 0.05
+    config = ExperimentConfig(
+        LanguageModel(alphabet_size=c, letter_probs=raw / raw.sum()),
+        corpus_size=3_000, n_pairs=200, overlap=overlap, fraction_right=fraction_right,
+        seed=seed, msg_len=overlap + shift, r_max=6, urn=urn, smoothing=smoothing,
+    )
+    calls = {}
+    with patch.object(simlab, "weights", _spy(calls, "weights", simlab.weights)), \
+            patch.object(simlab, "generate_traffic", _spy(calls, "traffic", simlab.generate_traffic)), \
+            patch.object(simlab, "_combine", _spy(calls, "combine", simlab._combine)):
+        try:
+            calibration_experiment(config)
+        except ModelError:
+            pass
+    (model,), weight_kwargs, _ = calls["weights"]
+    traffic = calls["traffic"][2]
+    scored = []
+    for row in range(traffic.n_pairs):
+        figure = figure_from_comparison(traffic.cipher_a[row], traffic.cipher_b[row], traffic.shift)
+        try:
+            scored.append(odds_of_fit(model, figure=figure, prior_log_odds=traffic.prior_log_odds,
+                                      floor=weight_kwargs["floor"]))
+        except ModelError:
+            assert "combine" not in calls
+            return
+    _, log_odds, posterior = calls["combine"][2]
+    for row, score in enumerate(scored):
+        assert abs(log_odds[row] - score.log_odds) <= 1e-12
+        assert abs(posterior[row] - score.posterior) <= 1e-12
 
 
 def test_config_parsing_errors_name_the_field():
@@ -362,14 +415,14 @@ def test_config_parsing_errors_name_the_field():
         ExperimentConfig.from_dict({**base, "language": {}})
 
     with pytest.raises(ValidationError, match="seed"):
-        run_experiment(ExperimentConfig.from_dict({**base, "seed": -4, "urn": "hatted"}))
+        calibration_experiment(ExperimentConfig.from_dict({**base, "seed": -4, "urn": "hatted"}))
 
 
-def test_run_experiment_echoes_the_config():
+def test_calibration_experiment_echoes_the_config():
     doc = {
         "language": {"c": 4},
         "corpus_size": 2_000, "n_pairs": 500, "overlap": 15,
         "fraction_right": 0.5, "seed": 2, "urn": "hatted",
     }
-    report = run_experiment(ExperimentConfig.from_dict(doc))
+    report = calibration_experiment(ExperimentConfig.from_dict(doc))
     assert report.config == doc
