@@ -34,9 +34,10 @@ EXIT_DATA = 3
 EXIT_MODEL = 4
 
 _WHITESPACE = b" \t\r\n\v\f"
-# Byte-table entries that are not letter codes.
-_SKIP = -2
-_INVALID = -1
+# Byte-table entries that are not letter codes; ASCII alphabets have at most
+# 128 symbols, so letter codes stay below both.
+_SKIP = 254
+_INVALID = 255
 
 
 @dataclass(frozen=True)
@@ -72,20 +73,9 @@ class NormalizationPolicy:
         return len(self.alphabet)
 
     def normalize(self, data: bytes) -> np.ndarray:
-        looked_up = self._code_table()[np.frombuffer(data, dtype=np.uint8)]
-        if self.on_invalid == "error":
-            bad = np.flatnonzero(looked_up == _INVALID)
-            if bad.size:
-                offset = int(bad[0])
-                raise NormalizationError(
-                    f"byte {data[offset:offset + 1]!r} at offset {offset} is not in the alphabet",
-                    offset,
-                )
-        return looked_up[looked_up >= 0].astype(np.uint8)
-
-    def _code_table(self) -> np.ndarray:
-        """Code of every byte value: its letter code, _SKIP or _INVALID."""
-        table = np.full(256, _INVALID, dtype=np.int16)
+        """Letter codes of ``data``, each byte looked up in a table of its
+        letter code, _SKIP or _INVALID."""
+        table = np.full(256, _INVALID, dtype=np.uint8)
         table[[ord(ch) for ch in self.alphabet]] = np.arange(self.alphabet_size)
         if self.fold_case:
             # Folding maps input onto the alphabet's own case.
@@ -95,7 +85,16 @@ class NormalizationPolicy:
             else:
                 table[lower] = table[upper]
         table[list(_WHITESPACE)] = _SKIP
-        return table
+        looked_up = table[np.frombuffer(data, dtype=np.uint8)]
+        if self.on_invalid == "error":
+            bad = np.flatnonzero(looked_up == _INVALID)
+            if bad.size:
+                offset = int(bad[0])
+                raise NormalizationError(
+                    f"byte {data[offset:offset + 1]!r} at offset {offset} is not in the alphabet",
+                    offset,
+                )
+        return looked_up[looked_up < self.alphabet_size]
 
 
 def _policy_from_args(args) -> NormalizationPolicy:

@@ -26,13 +26,11 @@ the XOR among the first bits*r is set.  Each M_r is read off that adjacency
 mask.  The result is exact integer arithmetic, identical to comparing all
 N(N-1)/2 rotation pairs directly.
 
-Memory per letter, beyond the codes themselves: the keys take 8 bytes per
-word, and the XOR of adjacent keys as much again while both exist; once the
-keys are dropped, counting one M_r adds 2 bytes of masks and 16 bytes per
-group boundary.  With one-word keys that peaks at 16 bytes per letter, or
-up to 26 when almost every r_max-gramme in the corpus is distinct.  Longer
-keys are sorted through a permutation, which brings the peak to 8 + 16
-bytes per word (40 at two words).
+Memory per letter, beyond the codes themselves: one uint64 per key word.
+Keys are packed and counted _CHUNK positions at a time, so every other
+temporary is chunk-sized and the peak is about 8 bytes per letter for
+one-word keys.  Longer keys are sorted by a lexsort over 16-bit pieces,
+which adds 16 bytes per word and 8 for the permutation (40 at two words).
 
 Card accounting for the urn model: each comparison consumes one card per
 flanked run plus one card per remaining no-coincidence cell, so the corpus
@@ -63,6 +61,9 @@ __all__ = [
 ]
 
 _WORD_BITS = 64
+# Positions packed, or adjacencies counted, per step: a chunk of keys stays
+# in cache while every symbol column or every order r is applied to it.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -132,38 +133,28 @@ class RepeatStatistics:
 
 
 def build_corpus(texts: Sequence[Sequence[int]], alphabet_size: int) -> CircularCorpus:
-    """Concatenate letter-code texts, in order, onto one circle."""
+    """Concatenate letter-code texts, in order, onto one circle.  Integer
+    arrays are checked in their own dtype; other input is read as int64."""
     if not texts:
         raise ValidationError("corpus requires at least one text")
     parts = []
     for index, text in enumerate(texts):
         try:
-            arr = np.asarray(text, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+            arr = np.asarray(text)
+            if arr.dtype.kind not in "iu":
+                arr = np.asarray(text, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"text {index} is not an integer code sequence: {exc}") from exc
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"text {index} is empty")
-        bad = np.flatnonzero((arr < 0) | (arr >= alphabet_size))
-        if bad.size:
-            offset = int(bad[0])
+        if arr.min() < 0 or arr.max() >= alphabet_size:
+            offset = int(np.flatnonzero((arr < 0) | (arr >= alphabet_size))[0])
             raise ValidationError(
                 f"text {index} has out-of-alphabet code {int(arr[offset])} at offset {offset}"
             )
         parts.append(arr)
-    codes = np.concatenate(parts)
-    dtype = np.uint8 if alphabet_size <= 256 else np.int32
-    return CircularCorpus(codes.astype(dtype), alphabet_size)
-
-
-def _pair_count_from_adjacency(same: np.ndarray) -> int:
-    # Sorted rows split into groups at every adjacent mismatch; a group of
-    # size s contributes s(s-1)/2 pairs.  The sizes sum to the row count,
-    # so the total is (sum s^2 - sum s) / 2.
-    breaks = np.empty(same.size + 2, dtype=bool)
-    breaks[0] = breaks[-1] = True
-    np.logical_not(same, out=breaks[1:-1])
-    sizes = np.diff(np.flatnonzero(breaks))
-    return int((np.dot(sizes, sizes) - (same.size + 1)) // 2)
+    dtype = np.uint8 if alphabet_size <= 256 else np.int32  # every code checked to fit
+    return CircularCorpus(np.concatenate(parts, dtype=dtype, casting="unsafe"), alphabet_size)
 
 
 def _packed_grams(codes: np.ndarray, bits: int, r_max: int) -> list[np.ndarray]:
@@ -172,50 +163,44 @@ def _packed_grams(codes: np.ndarray, bits: int, r_max: int) -> list[np.ndarray]:
     Symbol j of the gram at position i occupies bits [bits*j, bits*(j+1)) of
     the string, counted from the most significant bit of the first word; a
     symbol may straddle two words, and the last word is padded with zero
-    bits on the right.  Words are filled with in-place shifts and ORs of
-    one symbol column at a time, so no temporary is wider than a symbol.
+    bits on the right.  The words are filled _CHUNK positions at a time, all
+    r_max symbol columns of a chunk while it is in cache, with in-place
+    shifts and ORs, so no temporary is longer than a chunk.
     """
     n = codes.size
-    doubled = np.concatenate([codes, codes[: r_max - 1]])
-    words = [np.zeros(n, dtype=np.uint64)]
-    free = _WORD_BITS  # low bits of the last word not yet filled
-    for j in range(r_max):
-        symbol = doubled[j : j + n]
-        spill = bits - free  # low bits of the symbol that start the next word
-        if spill > 0:
-            words[-1] <<= free
-            words[-1] |= symbol >> spill
-            words.append(np.zeros(n, dtype=np.uint64))
-            words[-1] |= symbol & ((1 << spill) - 1)
-            free = _WORD_BITS - spill
-        else:
-            words[-1] <<= bits
-            words[-1] |= symbol
-            free -= bits
-    words[-1] <<= free
+    words = [np.zeros(n, dtype=np.uint64) for _ in range(-(-bits * r_max // _WORD_BITS))]
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        window = codes[start : stop + r_max - 1].astype(np.uint64)  # no cast per column
+        if stop + r_max - 1 > n:  # the grams of the last chunk wrap around
+            window = np.concatenate([window, codes[: stop + r_max - 1 - n]], dtype=np.uint64)
+        chunk = [word[start:stop] for word in words]
+        w, free = 0, _WORD_BITS  # word being filled, and its low bits still free
+        for j in range(r_max):
+            symbol = window[j : j + stop - start]
+            spill = bits - free  # low bits of the symbol that start the next word
+            if spill > 0:
+                chunk[w] <<= free
+                chunk[w] |= symbol >> spill
+                w, free = w + 1, _WORD_BITS - spill
+                chunk[w] |= symbol & ((1 << spill) - 1)
+            else:
+                chunk[w] <<= bits
+                chunk[w] |= symbol
+                free -= bits
+        chunk[w] <<= free
     return words
 
 
 def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     """M_r for r = 1..r_max: unordered pairs of equal circular r-grammes.
 
-    Every circular r_max-gramme is packed into a key of
-    ceil(bits * r_max / 64) uint64 words, bits = max(1, ceil(log2 c)) per
-    symbol, first symbol in the most significant bits.  Unsigned order of
-    the keys is lexicographic order of the grams, so one sort (an in-place
-    ``sort`` of a one-word key, a ``lexsort`` over the word columns of a
-    longer one) puts grams with a common r-prefix next to each other for
-    every r at once.  Two adjacent sorted keys share their first r symbols
-    exactly when their XOR has no set bit among the first bits*r bits: the
-    words wholly inside that prefix XOR to zero and the word holding its end
-    XORs to less than 2^(unused low bits).  M_r is then read off that
-    adjacency mask.
-
-    Peak memory per letter is 16 bytes for one-word keys (the keys and
-    their adjacent XOR), up to 26 when nearly every gram is distinct (the
-    XOR, two masks, and 16 bytes per group boundary while one M_r is
-    counted); longer keys peak at 8 + 16 bytes per word while they are
-    sorted and gathered.
+    Sorts the packed r_max-gram keys (see the module docstring), then walks
+    them _CHUNK adjacencies at a time: for each r, an adjacency whose XOR
+    has a set bit among the first bits*r ends a group of equal r-grammes,
+    and the size of the group still open at a chunk's end is carried into
+    the next.  A group of s grams holds s(s-1)/2 pairs and the sizes sum to
+    n, so M_r = (sum s^2 - n) / 2.
     """
     n = corpus.n_letters
     if r_max < 1:
@@ -236,18 +221,31 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
                             for word in reversed(words) for shift in (0, 16, 32, 48)])
         words = [word[order] for word in words]
         del order
-    diffs = [word[1:] ^ word[:-1] for word in words]
-    del words
 
-    counts = []
-    for r in range(1, r_max + 1):
-        end = bits * r
-        last = (end - 1) // _WORD_BITS
-        same = diffs[last] < (1 << (_WORD_BITS * (last + 1) - end))
-        for diff in diffs[:last]:
-            same &= diff == 0
-        counts.append(_pair_count_from_adjacency(same))
-    return counts
+    squares, open_size = [0] * r_max, [1] * r_max  # per r: sum s^2 so far, open group
+    for start in range(0, n - 1, _CHUNK):
+        stop = min(start + _CHUNK, n - 1)
+        diffs = [word[start + 1 : stop + 1] ^ word[start:stop] for word in words]
+        for i in range(r_max):
+            closed, open_size[i] = _groups_in_chunk(diffs, bits * (i + 1), open_size[i])
+            squares[i] += closed
+    return [(s + size * size - n) // 2 for s, size in zip(squares, open_size)]
+
+
+def _groups_in_chunk(diffs: list[np.ndarray], end: int, open_size: int) -> tuple[int, int]:
+    """From the XORs of a chunk's adjacent keys and the size of the group
+    open at its first key: the sum of s^2 over the groups of keys equal on
+    their first ``end`` bits that close in the chunk, and the open size."""
+    last = (end - 1) // _WORD_BITS  # the word holding the prefix's last bit
+    breaks = diffs[last] >= 1 << (_WORD_BITS * (last + 1) - end)
+    for diff in diffs[:last]:
+        breaks |= diff != 0
+    at = np.flatnonzero(breaks)
+    if not at.size:
+        return 0, open_size + breaks.size
+    first, final = int(at[0]), int(at[-1])
+    sizes = np.subtract(at[1:], at[:-1], out=at[:-1])  # in place: no second array
+    return (open_size + first) ** 2 + int(np.dot(sizes, sizes)), breaks.size - final
 
 
 def actual_counts(apparent: Sequence[int]) -> list[int]:
@@ -292,12 +290,8 @@ def card_counts(stats: RepeatStatistics) -> tuple[int, dict[int, int]]:
             f"degenerate corpus: card total is {total}; the urn model needs at least one card"
         )
     repeats = {r: n for r, n in enumerate(stats.actual, start=1) if n}
-    no_repeat = total - sum(repeats.values())
-    if no_repeat < 0:
-        raise ModelError(
-            f"inconsistent statistics: no-repeat card count is {no_repeat}"
-        )
-    return no_repeat, repeats
+    # RepeatStatistics guarantees at least as many cards as flanked repeats.
+    return total - sum(repeats.values()), repeats
 
 
 def stats_to_json(stats: RepeatStatistics, **extra) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -289,16 +290,18 @@ class ExperimentReport:
 
 
 # JSON type of each config field; 'urn' and 'smoothing' are checked below.
+# Sizes and counts become numpy dimensions, so they must fit in 64 bits; a
+# seed may be any size.
 _FIELD_TYPES = {
     "language": (dict, "an object"),
-    "corpus_size": (int, "an integer"),
-    "n_pairs": (int, "an integer"),
-    "overlap": (int, "an integer"),
+    "corpus_size": (int, "a 64-bit integer"),
+    "n_pairs": (int, "a 64-bit integer"),
+    "overlap": (int, "a 64-bit integer"),
     "fraction_right": ((int, float), "a number"),
     "seed": (int, "an integer"),
-    "msg_len": ((int, type(None)), "an integer or null"),
-    "r_max": (int, "an integer"),
-    "n_decodes": (int, "an integer"),
+    "msg_len": ((int, type(None)), "a 64-bit integer or null"),
+    "r_max": (int, "a 64-bit integer"),
+    "n_decodes": (int, "a 64-bit integer"),
     "bin_width": ((int, float), "a number"),
 }
 
@@ -340,7 +343,8 @@ class ExperimentConfig:
                 raise ValidationError(f"experiment config has unknown field {name!r}")
         for name, (kind, label) in _FIELD_TYPES.items():
             value = values.get(name)
-            if name in values and (not isinstance(value, kind) or isinstance(value, bool)):
+            wide = "64-bit" in label and type(value) is int and not -(1 << 63) <= value < 1 << 63
+            if name in values and (not isinstance(value, kind) or isinstance(value, bool) or wide):
                 raise ValidationError(
                     f"experiment config field {name!r} must be {label}, got {value!r}"
                 )
@@ -411,8 +415,9 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     Deterministic for a given seed.
     """
     lm, n_pairs, overlap = config.language, config.n_pairs, config.overlap
-    if not config.bin_width > 0:
-        raise ValidationError(f"bin_width must be positive, got {config.bin_width}")
+    if not 0 < config.bin_width <= sys.float_info.max:
+        raise ValidationError(f"bin_width must be a finite positive number, got {config.bin_width}")
+    bin_width = float(config.bin_width)
     if config.n_decodes < 1:
         raise ValidationError(f"n_decodes must be >= 1, got {config.n_decodes}")
     if config.corpus_size < 0:
@@ -450,7 +455,7 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     run_evidence = np.bincount(rows, weights=mu_table[lengths], minlength=n_pairs)
     _, log_odds, posterior = _combine(w, traffic.prior_log_odds, run_evidence, overlap)
 
-    bin_ids = np.floor(log_odds / config.bin_width).astype(np.int64)
+    bin_ids = np.floor(log_odds / bin_width).astype(np.int64)
     unique_ids, inverse = np.unique(bin_ids, return_inverse=True)
     n_total = np.bincount(inverse)
     n_right = np.bincount(inverse, weights=traffic.is_right.astype(float))
@@ -463,8 +468,8 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         p = float(mean_post[i])
         bins.append(
             PosteriorBin(
-                lo=float(bin_id * config.bin_width),
-                hi=float((bin_id + 1) * config.bin_width),
+                lo=float(bin_id * bin_width),
+                hi=float((bin_id + 1) * bin_width),
                 n_total=n,
                 n_right=right,
                 mean_posterior=p,

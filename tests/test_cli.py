@@ -329,6 +329,11 @@ def test_simulate_bad_config_names_field(tmp_path, capsys):
     ("language", {"c": 4, "probs": [True, False, 0, 0]}),
     ("language", {"c": 2, "kind": "markov-1", "transition": [[True, 0], [0.5, 0.5]]}),
     ("language", {"c": 4, "probs": ["0.25", "0.25", "0.25", "0.25"]}),
+    ("n_pairs", 10**23),
+    ("corpus_size", 1 << 63),
+    ("msg_len", -(1 << 63) - 1),
+    ("bin_width", math.inf),
+    pytest.param("bin_width", 10**309, id="bin_width-10**309"),
 ])
 def test_simulate_bad_config_field_exits_3_naming_it(tmp_path, capsys, field, value):
     doc = {"language": {"c": 4}, "corpus_size": 1000, "n_pairs": 100,

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repfit import corpus as corpus_module
 from repfit.corpus import (
     CircularCorpus,
     RepeatStatistics,
@@ -179,6 +182,21 @@ def test_apparent_and_actual_match_oracles_on_random_circles():
             assert actual_counts(apparent) == actual_oracle(circle, r_max - 2)
 
 
+def test_counts_are_exact_when_groups_straddle_chunks(monkeypatch):
+    # Chunks of a few keys put group ends, and groups that span several
+    # chunks, at every chunk boundary: the packer's wrap-around window and
+    # the counter's carried group sizes must not lose or double a gram.
+    rng = random.Random(0xC0DE)
+    cases = [(build_corpus([circle], c), r_max, apparent_oracle(circle, r_max))
+             for circle, c, r_max in _oracle_cases(rng)]
+    cases += [(build_corpus([circle], c), 6, tallies)
+              for circle, c, tallies in _hash_count_cases()]
+    for chunk in (1, 2, 3, 7):
+        monkeypatch.setattr(corpus_module, "_CHUNK", chunk)
+        for corpus, r_max, expected in cases:
+            assert apparent_counts(corpus, r_max) == expected, (chunk, corpus.alphabet_size)
+
+
 def test_degenerate_periodic_circle_has_zero_actual_counts():
     # Fully periodic material: every rotation that maps the circle onto
     # itself repeats everywhere, so no repeat is ever flanked.
@@ -278,20 +296,24 @@ def test_corpus_codes_are_read_only():
         corpus.codes[0] = 3
 
 
-def test_sorted_counts_match_hash_counts_at_scale():
-    # Third route: multiset counting of circular grams with a dict, at a
-    # size where the quadratic oracle is already unpleasant.
-    from collections import Counter
-
+def _hash_count_cases():
+    """(circle, c, M_1..M_6) on 2,000-letter circles, M_r by multiset
+    counting of the circular r-grams with a dict."""
     rng = random.Random(0xBEEF)
     for c in (3, 26):
         circle = [rng.randrange(c) for _ in range(2_000)]
-        corpus = build_corpus([circle], c)
-        m = apparent_counts(corpus, 6)
         doubled = circle + circle[:5]
+        tallies = []
         for r in range(1, 7):
-            tallies = Counter(tuple(doubled[i : i + r]) for i in range(2_000))
-            assert m[r - 1] == sum(n * (n - 1) // 2 for n in tallies.values())
+            grams = Counter(tuple(doubled[i : i + r]) for i in range(2_000))
+            tallies.append(sum(n * (n - 1) // 2 for n in grams.values()))
+        yield circle, c, tallies
+
+
+def test_sorted_counts_match_hash_counts_at_scale():
+    # Third route, at a size where the quadratic oracle is already unpleasant.
+    for circle, c, tallies in _hash_count_cases():
+        assert apparent_counts(build_corpus([circle], c), 6) == tallies
 
 
 def test_large_corpus_uses_one_sort():
@@ -314,3 +336,51 @@ def test_census_identities_at_a_million_letters():
     assert stats.apparent[0] == sum(int(k) * (int(k) - 1) // 2 for k in letter_counts)
     assert all(a >= b for a, b in zip(stats.apparent, stats.apparent[1:]))
     assert all(n >= 0 for n in stats.actual)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_word_census_peaks_at_ten_bytes_per_letter():
+    # The sorted keys take 8 bytes per letter; packing and counting only
+    # add chunk-sized temporaries.
+    n = 1_000_000
+    corpus = build_corpus([np.random.default_rng(9).integers(0, 26, size=n, dtype=np.uint8)], 26)
+    assert _peak_bytes(apparent_counts, corpus, 9) <= 10 * n
+
+
+def test_build_corpus_of_byte_texts_peaks_at_two_bytes_per_letter():
+    rng = np.random.default_rng(10)
+    texts = [rng.integers(0, 26, size=250_000, dtype=np.uint8) for _ in range(4)]
+    assert _peak_bytes(build_corpus, texts, 26) <= 2 * 1_000_000
+
+
+@pytest.mark.parametrize("text, code, offset", [
+    (np.array([3, 0, -1, 2], dtype=np.int8), -1, 2),
+    (np.array([25, 300, 1], dtype=np.uint16), 300, 1),
+])
+def test_build_corpus_checks_integer_texts_in_their_own_dtype(text, code, offset):
+    with pytest.raises(ValidationError, match=f"text 1 has out-of-alphabet code {code} "
+                                              f"at offset {offset}"):
+        build_corpus([[0, 1], text], 26)
+
+
+@pytest.mark.parametrize("c, dtype", [(26, np.uint8), (300, np.int32)])
+def test_build_corpus_gives_the_same_codes_for_every_input_type(c, dtype):
+    text = [1, 0, 25, 1, 1]
+    expected = np.array(text + [1, 0, 1] + text, dtype=dtype)
+    for texts in ([text, [True, False, True], text],
+                  [np.array(text, dtype=np.int64), np.array([1, 0, 1], dtype=bool),
+                   np.array(text, dtype=np.uint16)]):
+        codes = build_corpus(texts, c).codes
+        assert codes.dtype == dtype
+        assert np.array_equal(codes, expected)
+    for bad in (["A", "B"], [[0, 1], [2]], [10**30]):
+        with pytest.raises(ValidationError, match="text 0 is not an integer code sequence"):
+            build_corpus([bad], c)
