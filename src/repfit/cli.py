@@ -73,8 +73,9 @@ class NormalizationPolicy:
         return len(self.alphabet)
 
     def normalize(self, data: bytes) -> np.ndarray:
-        """Letter codes of ``data``, each byte looked up in a table of its
-        letter code, _SKIP or _INVALID."""
+        """Letter codes of ``data``, each byte mapped by ``bytes.translate``
+        through a table of its letter code, _SKIP or _INVALID.  The result is
+        a read-only view of the mapped bytes."""
         table = np.full(256, _INVALID, dtype=np.uint8)
         table[[ord(ch) for ch in self.alphabet]] = np.arange(self.alphabet_size)
         if self.fold_case:
@@ -85,16 +86,15 @@ class NormalizationPolicy:
             else:
                 table[lower] = table[upper]
         table[list(_WHITESPACE)] = _SKIP
-        looked_up = table[np.frombuffer(data, dtype=np.uint8)]
-        if self.on_invalid == "error":
-            bad = np.flatnonzero(looked_up == _INVALID)
-            if bad.size:
-                offset = int(bad[0])
-                raise NormalizationError(
-                    f"byte {data[offset:offset + 1]!r} at offset {offset} is not in the alphabet",
-                    offset,
-                )
-        return looked_up[looked_up < self.alphabet_size]
+        mapped = data.translate(table.tobytes())
+        # No byte is dropped yet, so the first invalid one's index is its offset.
+        offset = mapped.find(_INVALID) if self.on_invalid == "error" else -1
+        if offset >= 0:
+            raise NormalizationError(
+                f"byte {data[offset:offset + 1]!r} at offset {offset} is not in the alphabet",
+                offset,
+            )
+        return np.frombuffer(mapped.translate(None, bytes([_SKIP, _INVALID])), dtype=np.uint8)
 
 
 def _policy_from_args(args) -> NormalizationPolicy:

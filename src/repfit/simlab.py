@@ -190,9 +190,10 @@ def generate_traffic(
     is_right = np.zeros(n_pairs, dtype=bool)
     is_right[rng.permutation(n_pairs)[:n_right]] = True
 
-    key_b[is_right] = key[is_right, shift:]
-    # B's keys are settled before A's are enciphered in place over `key`.
+    np.copyto(key_b, key[:, shift:], where=is_right[:, None])
+    # B's keys are settled, and freed, before A's are enciphered in place over `key`.
     cipher_b = _encipher(plain_b, key_b, c)
+    del key_b
     cipher_a = _encipher(plain_a, key[:, :msg_len], c)
 
     return Traffic(
@@ -209,15 +210,20 @@ def generate_traffic(
 
 
 def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> np.ndarray:
-    """(plain + key) mod c as uint8, computed in place in the int16 key.
+    """(plain + key) mod c as uint8, computed in place in the int16 key,
+    _SAMPLE_CHUNK cells at a time.
 
     Both letters are < c <= 256, so their uint16 sum s is below 2c, and
     min(s, s - c) is s mod c because s - c wraps around when s < c.
     """
     s = key.view(np.uint16)
-    s += plain
-    np.minimum(s, s - np.uint16(c), out=s)
-    return s.astype(np.uint8)
+    out = np.empty(plain.shape, dtype=np.uint8)
+    step = max(1, _SAMPLE_CHUNK // plain.shape[1])
+    for lo in range(0, len(plain), step):
+        block = s[lo : lo + step]
+        block += plain[lo : lo + step]
+        np.minimum(block, block - np.uint16(c), out=out[lo : lo + step], casting="unsafe")
+    return out
 
 
 def run_length_table(coincidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,6 +429,11 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.corpus_size < 0:
         raise ValidationError(f"corpus_size must be >= 0, got {config.corpus_size}")
     msg_len = overlap if config.msg_len is None else config.msg_len
+    if 2 * n_pairs * (2 * msg_len - overlap) > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"n_pairs {n_pairs} x (2 * msg_len {msg_len} - overlap {overlap}) int16 key "
+            "cells are too many to address"
+        )
     master = checked_rng(config.seed)
 
     if config.urn == "from-corpus":
@@ -449,12 +460,27 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         seed=int(master.integers(0, 2**63)),
     )
 
-    rows, lengths = run_length_table(traffic.cipher_coincidences())
-    max_len = int(lengths.max()) if lengths.size else 0
-    mu_table = np.array([0.0] + [w.mu_for(r) for r in range(1, max_len + 1)])
-    run_evidence = np.bincount(rows, weights=mu_table[lengths], minlength=n_pairs)
+    # Score _SAMPLE_CHUNK cells of pairs at a time; each row's weights are
+    # still summed run by run, and mu_table grows to the longest run so far.
+    a, b = traffic.cipher_a[:, traffic.shift :], traffic.cipher_b[:, :overlap]
+    step = max(1, _SAMPLE_CHUNK // overlap)
+    mu, mu_table = [0.0], np.zeros(1)
+    run_evidence = np.empty(n_pairs)
+    for lo in range(0, n_pairs, step):
+        hits = a[lo : lo + step] == b[lo : lo + step]
+        rows, lengths = run_length_table(hits)
+        if lengths.size and lengths.max() >= len(mu):
+            mu += [w.mu_for(r) for r in range(len(mu), int(lengths.max()) + 1)]
+            mu_table = np.array(mu)
+        run_evidence[lo : lo + step] = np.bincount(rows, mu_table[lengths], len(hits))
     _, log_odds, posterior = _combine(w, traffic.prior_log_odds, run_evidence, overlap)
 
+    # In Python floats, so that an overflow reads inf without a numpy warning.
+    if not float(np.abs(log_odds).max()) / bin_width < 2.0**63:
+        raise ValidationError(
+            f"bin_width {config.bin_width} is too small: log-odds / bin_width must be finite "
+            "and its floor must fit in int64"
+        )
     bin_ids = np.floor(log_odds / bin_width).astype(np.int64)
     unique_ids, inverse = np.unique(bin_ids, return_inverse=True)
     n_total = np.bincount(inverse)
@@ -488,6 +514,6 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         "mean_log_odds_wrong": float(log_odds[~right_mask].mean()),
         "std_log_odds_right": float(log_odds[right_mask].std()),
         "std_log_odds_wrong": float(log_odds[~right_mask].std()),
-        "max_run_scored": max_len,
+        "max_run_scored": len(mu) - 1,
     }
     return ExperimentReport(config=dict(config.echo), bins=tuple(bins), totals=totals)

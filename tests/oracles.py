@@ -7,9 +7,11 @@ package functions, which exactness tests require the package to equal.  None
 of it shares code with the package; the normalizer and the figure parser
 raise the package's own exception types, and the scoring oracle builds the
 package's ``FitScore`` from given weights, so that results can be compared
-field by field.  It also holds helpers that only tests use (``Alignment``,
-``draws_needed``, ``hatted_apparent``, ``wrong_relevance_ratio``,
-``plain_coincidences``).
+field by field.  The one exception is ``run_evidence_oracle``, the earlier
+whole-matrix evidence sum, which calls the package's ``run_length_table``
+(itself checked against ``scan_run_spectrum``).  It also holds helpers that
+only tests use (``Alignment``, ``draws_needed``, ``hatted_apparent``,
+``wrong_relevance_ratio``, ``plain_coincidences``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from repfit.errors import FigureParseError, NormalizationError, ValidationError
 from repfit.scoring import FitScore
+from repfit.simlab import run_length_table
 
 
 def normalize_oracle(policy, data: bytes) -> np.ndarray:
@@ -294,6 +297,17 @@ def scan_run_spectrum(cells: str) -> dict[int, int]:
         else:
             i += 1
     return counts
+
+
+def run_evidence_oracle(w, coincidences: np.ndarray):
+    """(per-row evidence, run lengths) of a whole coincidence matrix: every
+    run's ``w.mu_for`` weight, summed row by row in run order, with
+    ``mu_for`` asked for r = 1, 2, ... up to the longest run."""
+    rows, lengths = run_length_table(coincidences)
+    max_len = int(lengths.max()) if lengths.size else 0
+    mu_table = np.array([0.0] + [w.mu_for(r) for r in range(1, max_len + 1)])
+    evidence = np.bincount(rows, weights=mu_table[lengths], minlength=len(coincidences))
+    return evidence, lengths
 
 
 def markov_sample_oracle(transition, rows: int, cols: int, rng) -> np.ndarray:

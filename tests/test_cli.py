@@ -334,6 +334,9 @@ def test_simulate_bad_config_names_field(tmp_path, capsys):
     ("msg_len", -(1 << 63) - 1),
     ("bin_width", math.inf),
     pytest.param("bin_width", 10**309, id="bin_width-10**309"),
+    ("bin_width", 1e-300),
+    pytest.param("n_pairs", 2**62, id="n_pairs-2**62"),
+    pytest.param("overlap", 2**62, id="overlap-2**62"),
 ])
 def test_simulate_bad_config_field_exits_3_naming_it(tmp_path, capsys, field, value):
     doc = {"language": {"c": 4}, "corpus_size": 1000, "n_pairs": 100,

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -18,7 +20,13 @@ from repfit.simlab import (
     run_length_table,
 )
 
-from oracles import markov_sample_oracle, plain_coincidences, scan_run_spectrum, traffic_oracle
+from oracles import (
+    markov_sample_oracle,
+    plain_coincidences,
+    run_evidence_oracle,
+    scan_run_spectrum,
+    traffic_oracle,
+)
 
 SKEWED4 = LanguageModel(alphabet_size=4, letter_probs=np.array([0.55, 0.25, 0.15, 0.05]))
 UNIFORM4 = LanguageModel(alphabet_size=4)
@@ -183,6 +191,21 @@ def test_traffic_equals_the_reference_draws(lm):
     for array, reference in zip(got, expected):
         assert np.array_equal(array, reference)
     assert traffic.cipher_a.dtype == traffic.cipher_b.dtype == np.uint8
+
+
+@pytest.mark.parametrize("c", [4, 256])
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_traffic_enciphered_in_blocks_equals_the_reference_draws(c, block_rows):
+    # _encipher works _SAMPLE_CHUNK cells at a time: here 1 or 7 rows of a message.
+    lm = LanguageModel(alphabet_size=c)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(simlab, "_SAMPLE_CHUNK", block_rows * 12)
+        traffic = generate_traffic(lm, n_pairs=30, msg_len=12, overlap=9,
+                                   fraction_right=0.4, seed=31)
+    expected = traffic_oracle(lm, 30, 12, 9, 0.4, 31)
+    got = (traffic.plain_a, traffic.plain_b, traffic.cipher_a, traffic.cipher_b, traffic.is_right)
+    for array, reference in zip(got, expected):
+        assert np.array_equal(array, reference)
 
 
 def test_right_pairs_coincide_exactly_where_plaintexts_do():
@@ -390,6 +413,70 @@ def test_experiment_log_odds_match_odds_of_fit_row_by_row(
     for row, score in enumerate(scored):
         assert abs(log_odds[row] - score.log_odds) <= 1e-12
         assert abs(posterior[row] - score.posterior) <= 1e-12
+
+
+@given(
+    c=st.sampled_from([2, 4, 26, 256]),
+    overlap=st.integers(1, 60),
+    shift=st.integers(0, 5),
+    smoothing=st.sampled_from([None, "auto", 1e-4]),
+    block_rows=st.sampled_from([1, 2, 7, None]),
+    seed=st.integers(0, 2**32),
+)
+def test_blocked_scoring_equals_the_whole_matrix_oracle(
+    c, overlap, shift, smoothing, block_rows, seed
+):
+    # Scoring runs _SAMPLE_CHUNK // overlap rows at a time: 1, 2 or 7 rows
+    # here, or the real size, which holds all 20 pairs in one block.
+    raw = np.random.default_rng(seed).random(c) + 0.05
+    config = ExperimentConfig(
+        LanguageModel(alphabet_size=c, letter_probs=raw / raw.sum()),
+        corpus_size=500, n_pairs=20, overlap=overlap, fraction_right=0.5,
+        seed=seed, msg_len=overlap + shift, r_max=6, smoothing=smoothing,
+    )
+
+    def experiment(chunk):
+        calls = {}
+        with patch.object(simlab, "_SAMPLE_CHUNK", chunk), \
+                patch.object(simlab, "weights", _spy(calls, "weights", simlab.weights)), \
+                patch.object(simlab, "generate_traffic",
+                             _spy(calls, "traffic", simlab.generate_traffic)), \
+                patch.object(simlab, "_combine", _spy(calls, "combine", simlab._combine)):
+            try:
+                return calibration_experiment(config).to_json(), calls
+            except ModelError as exc:
+                return str(exc), calls
+
+    real = simlab._SAMPLE_CHUNK
+    blocked, calls = experiment(real if block_rows is None else block_rows * overlap)
+    whole, _ = experiment(real)
+    assert blocked == whole
+    w, traffic = calls["weights"][2], calls["traffic"][2]
+    try:
+        evidence, lengths = run_evidence_oracle(w, traffic.cipher_coincidences())
+    except ModelError as exc:
+        assert blocked == str(exc)
+        assert "combine" not in calls
+        return
+    (_, prior, run_evidence, _), _, (_, log_odds, _) = calls["combine"]
+    assert (run_evidence == evidence).all()
+    assert (log_odds == simlab._combine(w, prior, evidence, overlap)[1]).all()
+    max_run = int(lengths.max()) if lengths.size else 0
+    assert json.loads(blocked)["totals"]["max_run_scored"] == max_run
+
+
+def test_experiment_peaks_below_eight_bytes_per_cell():
+    # The traffic's letters, keys and ciphers, less B's keys once they are
+    # enciphered, and block-sized scoring temporaries: about 7.2 B per cell.
+    config = ExperimentConfig(SKEWED4, corpus_size=20_000, n_pairs=20_000, overlap=50,
+                              fraction_right=0.5, seed=8)
+    tracemalloc.start()
+    try:
+        calibration_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (20_000 * 50) < 8.0
 
 
 def test_config_parsing_errors_name_the_field():
