@@ -51,7 +51,6 @@ from .urn import (
     UrnModel,
     acceptance_proportion,
     exact_completion_probability,
-    figures_from_draws,
     hatted_urn,
     sample_figures,
     urn_from_stats,
@@ -85,7 +84,6 @@ __all__ = [
     "compute_statistics",
     "exact_completion_probability",
     "figure_from_comparison",
-    "figures_from_draws",
     "generate_traffic",
     "hatted_urn",
     "odds_of_fit",

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import string
 import sys
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import simlab
+from .artifacts import dump, read_object
 from .corpus import build_corpus, compute_statistics, stats_from_json, stats_to_json
 from .errors import ModelError, NormalizationError, ValidationError
 from .figures import figure_from_comparison, parse_figure
@@ -157,10 +158,8 @@ def _cmd_stats(args) -> int:
     policy = _policy_from_args(args)
     texts = []
     for path in args.inputs:
-        with open(path, "rb") as handle:
-            data = handle.read()
         try:
-            texts.append(policy.normalize(data))
+            texts.append(policy.normalize(Path(path).read_bytes()))
         except NormalizationError as exc:
             raise NormalizationError(f"{path}: {exc}", exc.offset) from exc
     corpus = build_corpus(texts, policy.alphabet_size)
@@ -177,8 +176,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_urn(args) -> int:
     if args.from_stats:
-        with open(args.from_stats) as handle:
-            stats = stats_from_json(handle.read())
+        stats = stats_from_json(Path(args.from_stats).read_bytes())
         urn = urn_from_stats(stats)
     else:
         urn = hatted_urn(args.alphabet_size, r_max=args.rmax)
@@ -189,8 +187,7 @@ def _cmd_urn(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    with open(args.urn) as handle:
-        urn = urn_from_json(handle.read())
+    urn = urn_from_json(Path(args.urn).read_bytes())
     if args.figure is not None:
         figure = parse_figure(args.figure)
     else:
@@ -202,10 +199,8 @@ def _cmd_score(args) -> int:
                 f"the alphabet has {policy.alphabet_size} symbols "
                 f"but the urn was fitted to {urn.alphabet_size}"
             )
-        with open(args.a, "rb") as handle:
-            text_a = policy.normalize(handle.read())
-        with open(args.b, "rb") as handle:
-            text_b = policy.normalize(handle.read())
+        text_a = policy.normalize(Path(args.a).read_bytes())
+        text_b = policy.normalize(Path(args.b).read_bytes())
         figure = figure_from_comparison(text_a, text_b, args.shift)
     score = odds_of_fit(
         urn,
@@ -221,8 +216,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    with open(args.urn) as handle:
-        urn = urn_from_json(handle.read())
+    urn = urn_from_json(Path(args.urn).read_bytes())
     figures, scrapped = sample_figures(
         urn,
         overlap=args.overlap,
@@ -238,7 +232,7 @@ def _cmd_sample(args) -> int:
             "seed": args.seed,
         }
         doc.update(_stamp(args))
-        _write_artifact(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_artifact(args.out, dump(doc))
     else:
         for figure in figures:
             print(figure.serialize())
@@ -247,11 +241,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.config) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
+    doc = read_object(Path(args.config).read_bytes(), "experiment config")
     report = simlab.calibration_experiment(simlab.ExperimentConfig.from_dict(doc))
     _write_artifact(args.out, report.to_json())
     if args.csv:

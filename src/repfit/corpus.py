@@ -40,13 +40,13 @@ cards and the rest are no-repeat cards.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelError, ValidationError, artifact_field
+from .artifacts import INT64, INT64_ARRAY, STRING, dump, read_fields, read_object
+from .errors import ModelError, ValidationError
 
 __all__ = [
     "CircularCorpus",
@@ -305,34 +305,22 @@ def stats_to_json(stats: RepeatStatistics, **extra) -> str:
         "total_cards": stats.total_cards,
     }
     doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump(doc)
 
 
-def _counts(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of integers, got {value!r}")
-    return tuple(int(x) for x in value)
-
-
-def stats_from_json(text: str) -> RepeatStatistics:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid statistics artifact: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"statistics artifact must be a JSON object, got {doc!r}")
+def stats_from_json(text: str | bytes) -> RepeatStatistics:
+    doc = read_object(text, "statistics artifact")
+    read_fields("statistics artifact", doc,
+                {"N": INT64, "c": INT64, "r_max": INT64, "M": INT64_ARRAY, "Nr": INT64_ARRAY},
+                {"total_cards": INT64, "generated_at": STRING})
     stats = RepeatStatistics(
-        n_letters=artifact_field("statistics", doc, "N", int),
-        alphabet_size=artifact_field("statistics", doc, "c", int),
-        r_max=artifact_field("statistics", doc, "r_max", int),
-        apparent=artifact_field("statistics", doc, "M", _counts),
-        actual=artifact_field("statistics", doc, "Nr", _counts),
+        n_letters=doc["N"],
+        alphabet_size=doc["c"],
+        r_max=doc["r_max"],
+        apparent=tuple(doc["M"]),
+        actual=tuple(doc["Nr"]),
     )
-    if "total_cards" in doc:
-        total_cards = artifact_field("statistics", doc, "total_cards", int)
-        if total_cards != stats.total_cards:
-            raise ValidationError(
-                "statistics artifact is internally inconsistent: "
-                f"total_cards {total_cards} != {stats.total_cards}"
-            )
+    if doc.get("total_cards", stats.total_cards) != stats.total_cards:
+        raise ValidationError(f"statistics artifact field 'total_cards' is "
+                              f"{doc['total_cards']}, but N and Nr give {stats.total_cards}")
     return stats

@@ -37,15 +37,3 @@ class NormalizationError(ValidationError):
         super().__init__(message)
         self.offset = offset
 
-
-def artifact_field(artifact: str, doc: dict, name: str, convert):
-    """``convert(doc[name])``, turning a missing or malformed field of a JSON
-    artifact into a ValidationError that names the field."""
-    try:
-        value = doc[name]
-    except KeyError:
-        raise ValidationError(f"{artifact} artifact is missing field {name!r}") from None
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{artifact} artifact field {name!r} is malformed: {exc}") from exc

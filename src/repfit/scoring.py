@@ -23,7 +23,6 @@ language that is indistinguishable from random carries no evidence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -31,6 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .artifacts import dump
 from .errors import ModelError, ValidationError
 from .figures import RepetitionFigure, RunSpectrum, run_spectrum
 from .urn import UrnModel
@@ -246,4 +246,4 @@ def score_to_json(score: FitScore, **extra) -> str:
         "unit": score.log_base,
     }
     doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump(doc)

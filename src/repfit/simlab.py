@@ -14,13 +14,14 @@ uniform regardless of the language.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import INT64, INTEGER, NUMBER, NUMBER_ARRAY, NUMBER_MATRIX, OBJECT, STRING, dump
+from .artifacts import is_int64, is_number, read_fields
 from .corpus import build_corpus, compute_statistics
 from .errors import ValidationError
 from .rng import checked_rng
@@ -147,10 +148,6 @@ class Traffic:
     @property
     def n_pairs(self) -> int:
         return int(self.is_right.size)
-
-    def cipher_coincidences(self) -> np.ndarray:
-        """Boolean figure matrix of the aligned ciphertext region, one row per pair."""
-        return self.cipher_a[:, self.shift :] == self.cipher_b[:, : self.overlap]
 
 
 def generate_traffic(
@@ -282,7 +279,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dump(self.to_dict())
 
     def csv_rows(self) -> list[str]:
         header = "lo,hi,n_total,n_right,mean_posterior,empirical_right_fraction,binomial_se"
@@ -295,20 +292,23 @@ class ExperimentReport:
         return rows
 
 
-# JSON type of each config field; 'urn' and 'smoothing' are checked below.
-# Sizes and counts become numpy dimensions, so they must fit in 64 bits; a
-# seed may be any size.
-_FIELD_TYPES = {
-    "language": (dict, "an object"),
-    "corpus_size": (int, "a 64-bit integer"),
-    "n_pairs": (int, "a 64-bit integer"),
-    "overlap": (int, "a 64-bit integer"),
-    "fraction_right": ((int, float), "a number"),
-    "seed": (int, "an integer"),
-    "msg_len": ((int, type(None)), "a 64-bit integer or null"),
-    "r_max": (int, "a 64-bit integer"),
-    "n_decodes": (int, "a 64-bit integer"),
-    "bin_width": ((int, float), "a number"),
+# JSON kind of each config field.  Sizes and counts become numpy dimensions,
+# so they must fit in 64 bits; a seed may be any size.
+_CONFIG_REQUIRED = {
+    "language": OBJECT,
+    "corpus_size": INT64,
+    "n_pairs": INT64,
+    "overlap": INT64,
+    "fraction_right": NUMBER,
+    "seed": INTEGER,
+}
+_CONFIG_OPTIONAL = {
+    "msg_len": ("a 64-bit integer or null", lambda v: v is None or is_int64(v)),
+    "r_max": INT64,
+    "n_decodes": INT64,
+    "bin_width": NUMBER,
+    "urn": ("'from-corpus' or 'hatted'", lambda v: v in ("from-corpus", "hatted")),
+    "smoothing": ("'auto', null or a finite number", lambda v: v in ("auto", None) or is_number(v)),
 }
 
 
@@ -338,69 +338,20 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Read and type-check a config document; absent optional fields
         take the defaults above."""
-        values = {}
-        for f in fields(cls):
-            if f.name in doc and f.name != "echo":
-                values[f.name] = doc[f.name]
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise ValidationError(f"experiment config is missing field {f.name!r}")
-        for name in doc:
-            if name not in values:
-                raise ValidationError(f"experiment config has unknown field {name!r}")
-        for name, (kind, label) in _FIELD_TYPES.items():
-            value = values.get(name)
-            wide = "64-bit" in label and type(value) is int and not -(1 << 63) <= value < 1 << 63
-            if name in values and (not isinstance(value, kind) or isinstance(value, bool) or wide):
-                raise ValidationError(
-                    f"experiment config field {name!r} must be {label}, got {value!r}"
-                )
-        lang = values["language"]
-        if "c" not in lang:
-            raise ValidationError("experiment config is missing field 'language.c'")
-        c = lang["c"]
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValidationError(
-                f"experiment config field 'language.c' must be an integer, got {c!r}"
-            )
-        values["language"] = LanguageModel(
-            alphabet_size=c,
+        read_fields("experiment config", doc, _CONFIG_REQUIRED, _CONFIG_OPTIONAL)
+        lang = doc["language"]
+        # Each kind reads only its own parameters; the other's is an unknown field.
+        markov = lang.get("kind") == "markov-1"
+        data = {"transition": NUMBER_MATRIX} if markov else {"probs": NUMBER_ARRAY}
+        read_fields("experiment config", lang, {"c": INT64}, {"kind": STRING, **data},
+                    prefix="language.")
+        language = LanguageModel(
+            alphabet_size=lang["c"],
             kind=lang.get("kind", "iid-skewed"),
-            letter_probs=_language_numbers(lang, "probs"),
-            transition=_language_numbers(lang, "transition"),
+            letter_probs=lang.get("probs"),
+            transition=lang.get("transition"),
         )
-        if values.get("urn", "from-corpus") not in ("from-corpus", "hatted"):
-            raise ValidationError(
-                "experiment config field 'urn' must be 'from-corpus' or 'hatted', "
-                f"got {values['urn']!r}"
-            )
-        smoothing = values.get("smoothing", "auto")
-        number = isinstance(smoothing, (int, float)) and not isinstance(smoothing, bool)
-        if not (smoothing in ("auto", None) or number):
-            raise ValidationError(
-                "experiment config field 'smoothing' must be 'auto', null or a number, "
-                f"got {smoothing!r}"
-            )
-        return cls(**values, echo=dict(doc))
-
-
-def _language_numbers(lang: dict, name: str) -> np.ndarray | None:
-    """The ``language.<name>`` array of JSON numbers, or None if it is absent."""
-    value = lang.get(name)
-    if value is None:
-        return None
-    if isinstance(value, list):
-        try:
-            numbers = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            numbers = None
-        # numpy would read true as 1 and "0.5" as 0.5.
-        if numbers is not None and all(
-            type(x) in (int, float) for x in np.asarray(value, dtype=object).flat
-        ):
-            return numbers
-    raise ValidationError(
-        f"experiment config field 'language.{name}' must be an array of numbers, got {value!r}"
-    )
+        return cls(**{**doc, "language": language}, echo=dict(doc))
 
 
 def _corpus_texts(lm: LanguageModel, total: int, n_decodes: int, rng: np.random.Generator):
@@ -418,6 +369,7 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     fitted corpus, so rare long runs in traffic remain scorable; None keeps
     the scorer's hard error instead.  Each pair's log-odds follow
     ``repfit.scoring``'s rule, with its runs' weights summed in run order.
+    A label class with no pairs has null mean and std in the totals.
     Deterministic for a given seed.
     """
     lm, n_pairs, overlap = config.language, config.n_pairs, config.overlap
@@ -504,16 +456,16 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-    right_mask = traffic.is_right
+    right, wrong = log_odds[traffic.is_right], log_odds[~traffic.is_right]
     totals = {
         "n_pairs": n_pairs,
-        "n_right": int(right_mask.sum()),
-        "n_wrong": int(n_pairs - right_mask.sum()),
+        "n_right": right.size,
+        "n_wrong": wrong.size,
         "prior_log_odds": traffic.prior_log_odds,
-        "mean_log_odds_right": float(log_odds[right_mask].mean()),
-        "mean_log_odds_wrong": float(log_odds[~right_mask].mean()),
-        "std_log_odds_right": float(log_odds[right_mask].std()),
-        "std_log_odds_wrong": float(log_odds[~right_mask].std()),
+        "mean_log_odds_right": float(right.mean()) if right.size else None,
+        "mean_log_odds_wrong": float(wrong.mean()) if wrong.size else None,
+        "std_log_odds_right": float(right.std()) if right.size else None,
+        "std_log_odds_wrong": float(wrong.std()) if wrong.size else None,
         "max_run_scored": len(mu) - 1,
     }
     return ExperimentReport(config=dict(config.echo), bins=tuple(bins), totals=totals)

@@ -23,16 +23,16 @@ that the drawing process hits a given overlap, whose large-overlap limit is
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
+from .artifacts import INT64, NUMBER, PROPORTIONS, STRING, dump, read_fields, read_object
 from .corpus import RepeatStatistics, card_counts
-from .errors import ModelError, ValidationError, artifact_field
+from .errors import ModelError, ValidationError
 from .figures import O_CELL, RepetitionFigure, X_CELL
 from .rng import checked_rng
 
@@ -40,7 +40,6 @@ __all__ = [
     "UrnModel",
     "acceptance_proportion",
     "exact_completion_probability",
-    "figures_from_draws",
     "hatted_urn",
     "sample_figures",
     "urn_from_json",
@@ -87,10 +86,6 @@ class UrnModel:
     def r_max(self) -> int:
         """Largest run length with a positive card proportion (0 if none)."""
         return max(self.alpha, default=0)
-
-    @property
-    def sum_alpha(self) -> float:
-        return sum(self.alpha.values())
 
     @property
     def mean_extra_cells(self) -> float:
@@ -231,45 +226,6 @@ def sample_figures(
     return figures, scrapped
 
 
-def figures_from_draws(
-    draws: Iterable[int],
-    overlap: int,
-    count: int,
-    keep_trailing_o: bool = True,
-) -> tuple[list[RepetitionFigure], int]:
-    """Replay an explicit draw sequence through the figure-building procedure.
-
-    Draw 0 is a no-repeat card; draw r >= 1 is an r-gramme card.  Stops once
-    ``count`` comparisons complete, leaving later draws unconsumed.  Raises
-    if the sequence runs out mid-comparison.
-    """
-    if overlap < 1:
-        raise ValidationError(f"overlap must be >= 1, got {overlap}")
-    source: Iterator[int] = iter(draws)
-    figures: list[RepetitionFigure] = []
-    scrapped = 0
-    cells: list[str] = []
-    while len(figures) < count:
-        try:
-            r = next(source)
-        except StopIteration:
-            raise ValidationError(
-                f"draw sequence exhausted after {len(figures)} of {count} comparisons"
-            ) from None
-        if r < 0:
-            raise ValidationError(f"invalid draw {r}; use 0 for no-repeat, r for an r-gramme")
-        cells.append(X_CELL * r + O_CELL)
-        total = sum(len(part) for part in cells)
-        if total == overlap:
-            text = "".join(cells)
-            figures.append(RepetitionFigure(text if keep_trailing_o else text[:-1]))
-            cells = []
-        elif total > overlap:
-            scrapped += 1
-            cells = []
-    return figures, scrapped
-
-
 def urn_to_json(urn: UrnModel, **extra) -> str:
     doc = {
         "c": urn.alphabet_size,
@@ -277,24 +233,12 @@ def urn_to_json(urn: UrnModel, **extra) -> str:
         "A": urn.no_repeat,
     }
     doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump(doc)
 
 
-def _proportions(value) -> dict[int, float]:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object mapping run lengths to proportions, got {value!r}")
-    return {int(r): float(a) for r, a in value.items()}
-
-
-def urn_from_json(text: str) -> UrnModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid urn artifact: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"urn artifact must be a JSON object, got {doc!r}")
-    return UrnModel(
-        alpha=artifact_field("urn", doc, "alpha", _proportions),
-        no_repeat=artifact_field("urn", doc, "A", float),
-        alphabet_size=artifact_field("urn", doc, "c", int),
-    )
+def urn_from_json(text: str | bytes) -> UrnModel:
+    doc = read_object(text, "urn artifact")
+    read_fields("urn artifact", doc, {"c": INT64, "alpha": PROPORTIONS, "A": NUMBER},
+                {"generated_at": STRING})
+    alpha = {int(r): a for r, a in doc["alpha"].items()}
+    return UrnModel(alpha=alpha, no_repeat=doc["A"], alphabet_size=doc["c"])

@@ -11,7 +11,8 @@ field by field.  The one exception is ``run_evidence_oracle``, the earlier
 whole-matrix evidence sum, which calls the package's ``run_length_table``
 (itself checked against ``scan_run_spectrum``).  It also holds helpers that
 only tests use (``Alignment``, ``draws_needed``, ``hatted_apparent``,
-``wrong_relevance_ratio``, ``plain_coincidences``).
+``wrong_relevance_ratio``, ``plain_coincidences``, ``cipher_coincidences``,
+``figures_from_draws``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from math import comb, factorial
 import numpy as np
 
 from repfit.errors import FigureParseError, NormalizationError, ValidationError
+from repfit.figures import O_CELL, RepetitionFigure, X_CELL
 from repfit.scoring import FitScore
 from repfit.simlab import run_length_table
 
@@ -351,6 +353,46 @@ def plain_coincidences(traffic) -> np.ndarray:
     """Boolean figure matrix of a traffic batch's aligned plaintext region,
     one row per pair."""
     return traffic.plain_a[:, traffic.shift :] == traffic.plain_b[:, : traffic.overlap]
+
+
+def cipher_coincidences(traffic) -> np.ndarray:
+    """Boolean figure matrix of the aligned ciphertext region, one row per pair."""
+    return traffic.cipher_a[:, traffic.shift :] == traffic.cipher_b[:, : traffic.overlap]
+
+
+def figures_from_draws(draws, overlap: int, count: int, keep_trailing_o: bool = True):
+    """Replay an explicit draw sequence through the figure-building procedure.
+
+    Draw 0 is a no-repeat card; draw r >= 1 is an r-gramme card.  Stops once
+    ``count`` comparisons complete, leaving later draws unconsumed.  Raises
+    if the sequence runs out mid-comparison.  Returns the figures and the
+    number of comparisons scrapped for jumping past the overlap.
+    """
+    if overlap < 1:
+        raise ValidationError(f"overlap must be >= 1, got {overlap}")
+    source = iter(draws)
+    figures: list[RepetitionFigure] = []
+    scrapped = 0
+    cells: list[str] = []
+    while len(figures) < count:
+        try:
+            r = next(source)
+        except StopIteration:
+            raise ValidationError(
+                f"draw sequence exhausted after {len(figures)} of {count} comparisons"
+            ) from None
+        if r < 0:
+            raise ValidationError(f"invalid draw {r}; use 0 for no-repeat, r for an r-gramme")
+        cells.append(X_CELL * r + O_CELL)
+        total = sum(len(part) for part in cells)
+        if total == overlap:
+            text = "".join(cells)
+            figures.append(RepetitionFigure(text if keep_trailing_o else text[:-1]))
+            cells = []
+        elif total > overlap:
+            scrapped += 1
+            cells = []
+    return figures, scrapped
 
 
 def completing_figures(overlap: int):

@@ -24,7 +24,6 @@ from repfit.urn import (
     UrnModel,
     acceptance_proportion,
     exact_completion_probability,
-    figures_from_draws,
     hatted_urn,
     sample_figures,
 )
@@ -35,6 +34,7 @@ from oracles import (
     block_probability,
     completing_figures,
     feasible_spectra,
+    figures_from_draws,
     spectrum_multiplicity,
 )
 
@@ -290,7 +290,7 @@ def test_criterion_10_nu_approximation():
         raw = [rng.random() + 1e-3 for _ in range(r_count)]
         alpha = {r + 1: x * total / sum(raw) for r, x in enumerate(raw)}
         urn = UrnModel(alpha=alpha, no_repeat=1.0 - total, alphabet_size=26)
-        err = abs(weights(urn).nu - (urn.sum_alpha - 2 / 51))
+        err = abs(weights(urn).nu - (sum(urn.alpha.values()) - 2 / 51))
         worst = max(worst, err)
         if err >= 1e-3:
             violations.append((total, err))

@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import string
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repfit.cli import NormalizationPolicy, main
@@ -337,6 +339,8 @@ def test_simulate_bad_config_names_field(tmp_path, capsys):
     ("bin_width", 1e-300),
     pytest.param("n_pairs", 2**62, id="n_pairs-2**62"),
     pytest.param("overlap", 2**62, id="overlap-2**62"),
+    ("language", {"c": 4, "transition": [[0.25] * 4] * 4}),
+    ("language", {"c": 2, "kind": "markov-1", "transition": [[0.5, 0.5]] * 2, "probs": [0.5, 0.5]}),
 ])
 def test_simulate_bad_config_field_exits_3_naming_it(tmp_path, capsys, field, value):
     doc = {"language": {"c": 4}, "corpus_size": 1000, "n_pairs": 100,
@@ -454,3 +458,71 @@ def test_usage_error_exit_code(capsys):
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "stats", str(tmp_path / "nope.txt"))
     assert code == 3
+
+
+# One valid document of each kind, and the commands that read it.
+FUZZ_DOCS = {
+    "stats": {"N": 5, "c": 26, "r_max": 4, "M": [2, 1, 0, 0], "Nr": [1, 0], "total_cards": 9},
+    "urn": {"c": 4, "alpha": {"1": 0.1, "2": 0.05}, "A": 0.85},
+    "config": {
+        "language": {"c": 4, "kind": "iid-skewed", "probs": [0.55, 0.25, 0.15, 0.05]},
+        "corpus_size": 200, "n_pairs": 20, "overlap": 5, "fraction_right": 0.5, "seed": 1,
+        "msg_len": 8, "r_max": 6, "n_decodes": 3, "bin_width": 1.0, "urn": "from-corpus",
+        "smoothing": "auto",
+    },
+    "markov": {
+        "language": {"c": 2, "kind": "markov-1", "transition": [[0.9, 0.1], [0.3, 0.7]]},
+        "corpus_size": 200, "n_pairs": 20, "overlap": 5, "fraction_right": 0.5, "seed": 1,
+    },
+}
+FUZZ_COMMANDS = {
+    "stats": [["urn", "--from-stats", "{}"]],
+    "urn": [["score", "--urn", "{}", "--figure", "XO"],
+            ["sample", "--urn", "{}", "--overlap", "5", "--count", "2", "--seed", "1"]],
+    "config": [["simulate", "--config", "{}"]],
+    "markov": [["simulate", "--config", "{}"]],
+}
+FUZZ_FIELDS = [(kind, (name,)) for kind, doc in FUZZ_DOCS.items() for name in doc] + [
+    (kind, ("language", name)) for kind in ("config", "markov")
+    for name in FUZZ_DOCS[kind]["language"]
+]
+# Integers either small enough to be sizes a test can afford or outside int64.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4)
+    | st.sampled_from([2**63, -(2**63) - 1, 10**309, 10**400, "auto", "hatted", "markov-1"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(
+    field=st.sampled_from(FUZZ_FIELDS),
+    action=st.sampled_from(["set", "drop", "add"]),
+    value=JSON_VALUES,
+)
+@example(field=("urn", ("A",)), action="set", value=math.nan)
+@example(field=("urn", ("c",)), action="set", value=10**400)
+@example(field=("config", ("fraction_right",)), action="set", value=0.01)
+def test_fuzzed_artifact_and_config_fields_never_escape_or_print_nan(
+    tmp_path_factory, field, action, value
+):
+    kind, path = field
+    doc = json.loads(json.dumps(FUZZ_DOCS[kind]))
+    parent = doc if len(path) == 1 else doc[path[0]]
+    if action == "set":
+        parent[path[-1]] = value
+    elif action == "drop":
+        del parent[path[-1]]
+    else:
+        parent["unknown_field"] = value
+    target = tmp_path_factory.mktemp("fuzz") / f"{kind}.json"
+    target.write_text(json.dumps(doc))
+    for command in FUZZ_COMMANDS[kind]:
+        argv = [str(target) if arg == "{}" else arg for arg in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 3, 4), (argv, doc, err.getvalue())
+        if code == 0:
+            assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), doc

@@ -11,7 +11,7 @@ import numpy as np
 from repfit import simlab
 from repfit.simlab import ExperimentConfig, LanguageModel, calibration_experiment
 
-from oracles import run_evidence_oracle
+from oracles import cipher_coincidences, run_evidence_oracle
 
 
 def test_every_traced_hook_names_a_live_attribute(monkeypatch):
@@ -50,7 +50,7 @@ def test_run_length_hook_sees_every_cell_and_run():
             patch.object(simlab, "weights", keep("weights", simlab.weights)), \
             patch.object(simlab, "generate_traffic", keep("traffic", simlab.generate_traffic)):
         calibration_experiment(config)
-    _, lengths = run_evidence_oracle(made["weights"], made["traffic"].cipher_coincidences())
+    _, lengths = run_evidence_oracle(made["weights"], cipher_coincidences(made["traffic"]))
     assert len(cells) > 2
     assert sum(cells) == n_pairs * overlap
     assert sum(runs) == lengths.size

@@ -79,14 +79,14 @@ def test_nu_matches_small_alpha_approximation_in_its_valid_region():
     for _ in range(100):
         urn = random_urn(rng, min_total=0.002, max_total=0.044)
         w = weights(urn)
-        assert abs(w.nu - (urn.sum_alpha - 2 / 51)) < 1e-3
+        assert abs(w.nu - (sum(urn.alpha.values()) - 2 / 51)) < 1e-3
 
 
 def test_nu_approximation_error_at_the_domain_edge():
     # At a 0.05 repeat-card share the quadratic remainder of -log(1 - x)
     # already exceeds the 1e-3 budget; the approximation is first-order only.
     urn = UrnModel(alpha={1: 0.05}, no_repeat=0.95, alphabet_size=26)
-    err = abs(weights(urn).nu - (urn.sum_alpha - 2 / 51))
+    err = abs(weights(urn).nu - (sum(urn.alpha.values()) - 2 / 51))
     assert err == pytest.approx(0.0012882675, abs=1e-9)
     assert err > 1e-3
 

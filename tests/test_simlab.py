@@ -21,6 +21,7 @@ from repfit.simlab import (
 )
 
 from oracles import (
+    cipher_coincidences,
     markov_sample_oracle,
     plain_coincidences,
     run_evidence_oracle,
@@ -211,7 +212,7 @@ def test_traffic_enciphered_in_blocks_equals_the_reference_draws(c, block_rows):
 def test_right_pairs_coincide_exactly_where_plaintexts_do():
     traffic = generate_traffic(SKEWED4, n_pairs=500, msg_len=40, overlap=25,
                                fraction_right=0.4, seed=9)
-    cipher = traffic.cipher_coincidences()
+    cipher = cipher_coincidences(traffic)
     plain = plain_coincidences(traffic)
     right = traffic.is_right
     assert np.array_equal(cipher[right], plain[right])
@@ -228,7 +229,7 @@ def test_right_pairs_coincide_exactly_where_plaintexts_do():
 def test_wrong_pairs_coincide_at_the_hatted_rate():
     traffic = generate_traffic(SKEWED4, n_pairs=80_000, msg_len=25, overlap=25,
                                fraction_right=0.5, seed=12)
-    wrong = traffic.cipher_coincidences()[~traffic.is_right]
+    wrong = cipher_coincidences(traffic)[~traffic.is_right]
     n = wrong.size
     observed = wrong.mean()
     assert n >= 1_000_000
@@ -453,7 +454,7 @@ def test_blocked_scoring_equals_the_whole_matrix_oracle(
     assert blocked == whole
     w, traffic = calls["weights"][2], calls["traffic"][2]
     try:
-        evidence, lengths = run_evidence_oracle(w, traffic.cipher_coincidences())
+        evidence, lengths = run_evidence_oracle(w, cipher_coincidences(traffic))
     except ModelError as exc:
         assert blocked == str(exc)
         assert "combine" not in calls
@@ -513,3 +514,18 @@ def test_calibration_experiment_echoes_the_config():
     }
     report = calibration_experiment(ExperimentConfig.from_dict(doc))
     assert report.config == doc
+
+
+def test_empty_label_class_reports_null_statistics():
+    # round(20 * 0.01) = 0 right pairs: their mean and spread are undefined.
+    doc = {
+        "language": {"c": 4},
+        "corpus_size": 200, "n_pairs": 20, "overlap": 5,
+        "fraction_right": 0.01, "seed": 2, "urn": "hatted",
+    }
+    report = calibration_experiment(ExperimentConfig.from_dict(doc))
+    totals = report.totals
+    assert (totals["n_right"], totals["n_wrong"]) == (0, 20)
+    assert totals["mean_log_odds_right"] is None and totals["std_log_odds_right"] is None
+    assert math.isfinite(totals["mean_log_odds_wrong"])
+    assert "NaN" not in report.to_json()

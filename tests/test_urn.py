@@ -14,7 +14,6 @@ from repfit.urn import (
     UrnModel,
     acceptance_proportion,
     exact_completion_probability,
-    figures_from_draws,
     hatted_urn,
     sample_figures,
     urn_from_json,
@@ -22,7 +21,13 @@ from repfit.urn import (
     urn_to_json,
 )
 
-from oracles import block_probability, completing_figures, hatted_apparent, sample_figures_oracle
+from oracles import (
+    block_probability,
+    completing_figures,
+    figures_from_draws,
+    hatted_apparent,
+    sample_figures_oracle,
+)
 
 # Twelve card kinds: no-repeat plus r = 1..11.
 TWELVE_CARD_URN = UrnModel(
@@ -79,7 +84,7 @@ def test_proportions_account_for_the_whole_urn():
         alpha = {r + 1: x * total / sum(parts) for r, x in enumerate(parts)}
         urns.append(UrnModel(alpha=alpha, no_repeat=1 - sum(alpha.values()), alphabet_size=26))
     for urn in urns:
-        assert abs(urn.no_repeat + urn.sum_alpha - 1.0) <= 1e-12
+        assert abs(urn.no_repeat + sum(urn.alpha.values()) - 1.0) <= 1e-12
 
 
 def test_urn_validation():
@@ -102,7 +107,7 @@ def test_hatted_proportions_c2_truncated():
     urn = hatted_urn(2, r_max=3)
     assert urn.alpha == {1: 0.25, 2: 0.125, 3: 0.0625}
     assert urn.no_repeat == pytest.approx(9 / 16, abs=1e-15)
-    assert urn.no_repeat + urn.sum_alpha == pytest.approx(1.0, abs=1e-12)
+    assert urn.no_repeat + sum(urn.alpha.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hatted_rejects_tiny_alphabet():
