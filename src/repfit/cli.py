@@ -217,13 +217,17 @@ def _cmd_score(args) -> int:
 
 def _cmd_sample(args) -> int:
     urn = urn_from_json(Path(args.urn).read_bytes())
-    figures, scrapped = sample_figures(
-        urn,
-        overlap=args.overlap,
-        count=args.count,
-        seed=args.seed,
-        keep_trailing_o=args.keep_trailing_o,
-    )
+    try:
+        figures, scrapped = sample_figures(
+            urn,
+            overlap=args.overlap,
+            count=args.count,
+            seed=args.seed,
+            keep_trailing_o=args.keep_trailing_o,
+        )
+    except MemoryError as exc:
+        raise ValidationError(f"--overlap {args.overlap} x --count {args.count} cells "
+                              "do not fit in memory") from exc
     if args.out:
         doc = {
             "figures": [f.serialize() for f in figures],

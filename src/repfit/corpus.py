@@ -29,8 +29,11 @@ N(N-1)/2 rotation pairs directly.
 Memory per letter, beyond the codes themselves: one uint64 per key word.
 Keys are packed and counted _CHUNK positions at a time, so every other
 temporary is chunk-sized and the peak is about 8 bytes per letter for
-one-word keys.  Longer keys are sorted by a lexsort over 16-bit pieces,
-which adds 16 bytes per word and 8 for the permutation (40 at two words).
+one-word keys.  A large corpus of one-word keys is censused in parts, one
+thread per part (see apparent_counts); the parts share the one key array,
+and each thread adds its own chunk-sized temporaries, about 1 MB.  Longer
+keys are sorted by a lexsort over 16-bit pieces, in one part, which adds
+16 bytes per word and 8 for the permutation (40 at two words).
 
 Card accounting for the urn model: each comparison consumes one card per
 flanked run plus one card per remaining no-coincidence cell, so the corpus
@@ -40,6 +43,8 @@ cards and the rest are no-repeat cards.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,6 +69,9 @@ _WORD_BITS = 64
 # Positions packed, or adjacencies counted, per step: a chunk of keys stays
 # in cache while every symbol column or every order r is applied to it.
 _CHUNK = 1 << 16
+# Fewest positions per part of a threaded census: below this, starting the
+# threads costs more than the second core saves.
+_MIN_PART = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,10 @@ class RepeatStatistics:
 
     ``apparent`` holds M_1..M_r_max; ``actual`` holds N_1..N_{r_max-2}
     (computing N_r needs apparent counts two orders higher).  Repeats longer
-    than r_max - 2 are assumed absent or negligible.
+    than r_max - 2 are assumed absent or negligible.  The counts must be
+    those of a census: N >= 0, M non-negative and non-increasing, and each
+    N_r = M_r - 2*M_{r+1} + M_{r+2}.  Errors name the artifact fields N, M
+    and Nr.
     """
 
     n_letters: int
@@ -105,6 +116,8 @@ class RepeatStatistics:
     actual: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n_letters < 0:
+            raise ValidationError(f"letter count N must be >= 0, got {self.n_letters}")
         if len(self.apparent) != self.r_max:
             raise ValidationError("apparent counts must cover r = 1..r_max")
         if len(self.actual) != max(0, self.r_max - 2):
@@ -114,13 +127,24 @@ class RepeatStatistics:
                 raise ValidationError(
                     f"apparent counts must be non-increasing, but M_{r}={m} < M_{r + 1}={m_next}"
                 )
+        if self.apparent and self.apparent[-1] < 0:  # the least, as M is non-increasing
+            raise ValidationError(
+                f"apparent counts M must be >= 0, but M_{self.r_max}={self.apparent[-1]}"
+            )
         if any(n < 0 for n in self.actual):
-            raise ValidationError("actual repeat counts must be non-negative")
+            raise ValidationError("actual counts Nr must be non-negative")
         if self.total_cards < sum(self.actual):
             raise ValidationError(
                 "inconsistent statistics: fewer cards than flanked repeats "
                 f"({self.total_cards} < {sum(self.actual)})"
             )
+        m = self.apparent
+        for r, n_r in enumerate(self.actual, start=1):
+            if n_r != m[r - 1] - 2 * m[r] + m[r + 1]:
+                raise ValidationError(
+                    f"actual counts Nr must be M_r - 2*M_(r+1) + M_(r+2), but N_{r}={n_r} "
+                    f"and M gives {m[r - 1] - 2 * m[r] + m[r + 1]}"
+                )
 
     @property
     def total_overlap(self) -> int:
@@ -157,8 +181,10 @@ def build_corpus(texts: Sequence[Sequence[int]], alphabet_size: int) -> Circular
     return CircularCorpus(np.concatenate(parts, dtype=dtype, casting="unsafe"), alphabet_size)
 
 
-def _packed_grams(codes: np.ndarray, bits: int, r_max: int) -> list[np.ndarray]:
-    """Each circular r_max-gram as a big-endian bit string in uint64 words.
+def _pack(codes: np.ndarray, bits: int, r_max: int, words: list[np.ndarray],
+          lo: int, hi: int) -> None:
+    """Write the circular r_max-grams at positions lo..hi-1 into zeroed
+    uint64 ``words``, as big-endian bit strings.
 
     Symbol j of the gram at position i occupies bits [bits*j, bits*(j+1)) of
     the string, counted from the most significant bit of the first word; a
@@ -168,9 +194,8 @@ def _packed_grams(codes: np.ndarray, bits: int, r_max: int) -> list[np.ndarray]:
     shifts and ORs, so no temporary is longer than a chunk.
     """
     n = codes.size
-    words = [np.zeros(n, dtype=np.uint64) for _ in range(-(-bits * r_max // _WORD_BITS))]
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
+    for start in range(lo, hi, _CHUNK):
+        stop = min(start + _CHUNK, hi)
         window = codes[start : stop + r_max - 1].astype(np.uint64)  # no cast per column
         if stop + r_max - 1 > n:  # the grams of the last chunk wrap around
             window = np.concatenate([window, codes[: stop + r_max - 1 - n]], dtype=np.uint64)
@@ -189,7 +214,56 @@ def _packed_grams(codes: np.ndarray, bits: int, r_max: int) -> list[np.ndarray]:
                 chunk[w] |= symbol
                 free -= bits
         chunk[w] <<= free
-    return words
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_threads(fn, calls: list[tuple]) -> list:
+    """fn(*args) for each args of ``calls``, each in its own thread when
+    there are several; the results in order.  The first exception a call
+    raises is raised here, after every thread has ended."""
+    if len(calls) == 1:
+        return [fn(*calls[0])]
+    results, errors = [None] * len(calls), []
+
+    def run(i, args):
+        try:
+            results[i] = fn(*args)
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i, args)) for i, args in enumerate(calls)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _cuts(codes: np.ndarray, c: int, parts: int) -> list[int]:
+    """Bounds of about ``parts`` equal parts of the sorted one-word keys,
+    each cut where the first symbol changes: the key index after the last
+    key of some symbol nearest each n*p/parts.  Symbols are counted _CHUNK
+    codes at a time, so the count's intp casts stay chunk-sized."""
+    n = codes.size
+    if parts == 1:
+        return [0, n]
+    counts = np.zeros(c, dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        counts += np.bincount(codes[start : start + _CHUNK], minlength=c)
+    ends = np.cumsum(counts)
+    cuts = {int(ends[np.abs(ends - n * p // parts).argmin()]) for p in range(1, parts)}
+    return [0, *sorted(cuts - {0, n}), n]
+
+
+def _sorted_squares(key: np.ndarray, bits: int, r_max: int) -> list[int]:
+    key.sort()
+    return _sum_squares([key], bits, r_max)
 
 
 def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
@@ -201,6 +275,14 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     and the size of the group still open at a chunk's end is carried into
     the next.  A group of s grams holds s(s-1)/2 pairs and the sizes sum to
     n, so M_r = (sum s^2 - n) / 2.
+
+    One-word keys of a corpus of at least 2 * _MIN_PART letters are worked
+    in parts, one thread each, up to the number of CPUs the process may
+    use.  Each thread packs its share of the positions.  The keys are then
+    cut, by in-place partitions, between the last key of one first symbol
+    and the first of the next, near equal sizes; each thread sorts and
+    counts its part.  Grams with different first symbols share no prefix,
+    so every group lies in one part and the sums of s^2 add up.
     """
     n = corpus.n_letters
     if r_max < 1:
@@ -211,9 +293,16 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     c = corpus.alphabet_size
     bits = max(1, (c - 1).bit_length())
     symbols = corpus.codes.astype(np.min_scalar_type(c - 1), copy=False)
-    words = _packed_grams(symbols, bits, r_max)
+    words = [np.zeros(n, dtype=np.uint64) for _ in range(-(-bits * r_max // _WORD_BITS))]
+    parts = 1 if len(words) > 1 or c == 1 else max(1, min(_cpus(), n // _MIN_PART))
+    _in_threads(_pack, [(symbols, bits, r_max, words, n * p // parts, n * (p + 1) // parts)
+                        for p in range(parts)])
     if len(words) == 1:
-        words[0].sort()
+        key, cuts = words[0], _cuts(symbols, c, parts)
+        for lo, cut in zip(cuts, cuts[1:-1]):
+            key[lo:].partition(cut - lo)
+        squares = _in_threads(_sorted_squares, [(key[lo:hi], bits, r_max)
+                                                for lo, hi in zip(cuts, cuts[1:])])
     else:
         # lexsort radix-sorts 16-bit keys but merge-sorts wider ones, so it
         # is given the 16-bit pieces of every word, least significant first.
@@ -221,15 +310,22 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
                             for word in reversed(words) for shift in (0, 16, 32, 48)])
         words = [word[order] for word in words]
         del order
+        squares = [_sum_squares(words, bits, r_max)]
+    return [(sum(part) - n) // 2 for part in zip(*squares)]
 
+
+def _sum_squares(words: list[np.ndarray], bits: int, r_max: int) -> list[int]:
+    """For r = 1..r_max, the sum of s^2 over the groups of the sorted keys
+    equal on their first bits*r bits.  The first group opens at size 1."""
     squares, open_size = [0] * r_max, [1] * r_max  # per r: sum s^2 so far, open group
+    n = words[0].size
     for start in range(0, n - 1, _CHUNK):
         stop = min(start + _CHUNK, n - 1)
         diffs = [word[start + 1 : stop + 1] ^ word[start:stop] for word in words]
         for i in range(r_max):
             closed, open_size[i] = _groups_in_chunk(diffs, bits * (i + 1), open_size[i])
             squares[i] += closed
-    return [(s + size * size - n) // 2 for s, size in zip(squares, open_size)]
+    return [s + size * size for s, size in zip(squares, open_size)]
 
 
 def _groups_in_chunk(diffs: list[np.ndarray], end: int, open_size: int) -> tuple[int, int]:

@@ -133,8 +133,8 @@ def hatted_urn(alphabet_size: int, r_max: int | None = None) -> UrnModel:
     (c-1)/c to machine precision.
     """
     c = alphabet_size
-    if c < 2:
-        raise ValidationError(f"hatted urn needs an alphabet of at least 2 symbols, got {c}")
+    if not 2 <= c < 1 << 63:  # the int64 an urn artifact's "c" holds
+        raise ValidationError(f"hatted urn needs an alphabet size in 2..2**63-1, got {c}")
     if r_max is None:
         r_max = _default_hatted_r_max(c)
     if r_max < 1:
@@ -197,6 +197,8 @@ def sample_figures(
         raise ValidationError(f"overlap must be >= 1, got {overlap}")
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if 8 * overlap * count > np.iinfo(np.intp).max:  # every cell is drawn as an int64
+        raise ValidationError(f"overlap {overlap} x count {count} cells are too many to address")
 
     rng = checked_rng(seed)
     lengths = np.array([1] + [r + 1 for r in sorted(urn.alpha)], dtype=np.int64)

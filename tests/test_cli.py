@@ -404,6 +404,44 @@ def test_malformed_stats_artifact_exits_3_naming_the_field(tmp_path, capsys, fie
     assert repr(field) in err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"N": -5, "Nr": [1, 0], "total_cards": 14}, "letter count N must be >= 0"),
+    ({"Nr": [1, 0], "total_cards": 9}, "actual counts Nr must be"),
+    ({"M": [-1, -2, -3, -4], "Nr": [0, 0], "total_cards": 10}, "apparent counts M must be >= 0"),
+])
+def test_inconsistent_stats_artifact_exits_3_naming_the_field(tmp_path, capsys, fields, message):
+    # The base document is the census of the circle ABCAB.
+    doc = {"N": 5, "c": 26, "r_max": 4, "M": [2, 1, 0, 0], "Nr": [0, 1], "total_cards": 8}
+    stats = write(tmp_path, "stats.json", json.dumps(doc))
+    assert run(capsys, "urn", "--from-stats", stats)[0] == 0
+    stats = write(tmp_path, "bad.json", json.dumps({**doc, **fields}))
+    code, _, err = run(capsys, "urn", "--from-stats", stats)
+    assert code == 3
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # Addressable, but a row of 2**56 draws is more than any address space.
+    (["sample", "--urn", "{}", "--overlap", str(2**56), "--count", "1"], "--overlap"),
+    (["sample", "--urn", "{}", "--overlap", str(2**62), "--count", "1"], "overlap"),
+    (["sample", "--urn", "{}", "--overlap", "5", "--count", str(2**62)], "count"),
+    (["sample", "--urn", "{}", "--overlap", str(2**61), "--count", str(2**61)], "overlap"),
+    (["urn", "--hatted", "--alphabet-size", str(10**400)], "alphabet size"),
+    (["urn", "--hatted", "--alphabet-size", str(2**63)], "alphabet size"),
+])
+def test_oversized_flags_exit_3_naming_the_flag(tmp_path, capsys, argv, flag):
+    urn = write(tmp_path, "urn.json", json.dumps({"c": 4, "alpha": {"1": 0.1}, "A": 0.9}))
+    code, out, err = run(capsys, *[urn if arg == "{}" else arg for arg in argv])
+    assert code == 3
+    assert flag in err and out == ""
+
+
+def test_hatted_urn_of_the_largest_alphabet_size(capsys):
+    code, out, _ = run(capsys, "urn", "--hatted", "--alphabet-size", str(2**63 - 1))
+    assert code == 0
+    assert json.loads(out)["c"] == 2**63 - 1
+
+
 def test_artifacts_are_idempotent_with_reproducible(tmp_path, capsys):
     corpus = write(tmp_path, "corpus.txt", "BANANARAMA")
     out1 = tmp_path / "s1.json"
@@ -462,7 +500,7 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 # One valid document of each kind, and the commands that read it.
 FUZZ_DOCS = {
-    "stats": {"N": 5, "c": 26, "r_max": 4, "M": [2, 1, 0, 0], "Nr": [1, 0], "total_cards": 9},
+    "stats": {"N": 5, "c": 26, "r_max": 4, "M": [2, 1, 0, 0], "Nr": [0, 1], "total_cards": 8},
     "urn": {"c": 4, "alpha": {"1": 0.1, "2": 0.05}, "A": 0.85},
     "config": {
         "language": {"c": 4, "kind": "iid-skewed", "probs": [0.55, 0.25, 0.15, 0.05]},

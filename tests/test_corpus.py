@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -195,6 +197,97 @@ def test_counts_are_exact_when_groups_straddle_chunks(monkeypatch):
         monkeypatch.setattr(corpus_module, "_CHUNK", chunk)
         for corpus, r_max, expected in cases:
             assert apparent_counts(corpus, r_max) == expected, (chunk, corpus.alphabet_size)
+
+
+def _threaded_cases(rng: random.Random):
+    """(circle, c) pairs for the threaded census: the one-word oracle cases,
+    near-periodic circles, a one-symbol corpus of a larger alphabet (no
+    interior cut), and alphabets with fewer symbols than parts."""
+    for circle, c, r_max in _oracle_cases(rng):
+        if c < 200 and r_max <= 12:
+            yield circle, c, r_max
+    for _ in range(10):
+        n = rng.randrange(6, 40)
+        yield near_periodic_circle(rng, n, rng.choice([2, 4, 26])), 26, min(9, n - 1)
+        yield [5] * n, 26, min(9, n - 1)
+        yield random_circle(rng, n, 2), 2, min(9, n - 1)
+        yield [0] * n, 1, min(9, n - 1)
+
+
+def _spy_parts(monkeypatch) -> list[int]:
+    """Record the size of every part the census sorts and counts."""
+    sizes, real = [], corpus_module._sorted_squares
+    monkeypatch.setattr(corpus_module, "_sorted_squares",
+                        lambda key, *args: sizes.append(key.size) or real(key, *args))
+    return sizes
+
+
+def test_threaded_census_equals_the_oracle_and_one_part(monkeypatch):
+    # Parts of 1 or 5 positions at least, on 2, 3 or 4 CPUs, with chunks of
+    # a few keys: every cut, pack range and chunk boundary falls somewhere
+    # inside a group, and each part must still count its groups alone.
+    rng = random.Random(0x7EAD)
+    cases = [(build_corpus([circle], c), r_max, apparent_oracle(circle, r_max))
+             for circle, c, r_max in _threaded_cases(rng)]
+    sizes, split = _spy_parts(monkeypatch), 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave between most bytecodes
+    try:
+        for chunk in (1, 3, 7, corpus_module._CHUNK):
+            monkeypatch.setattr(corpus_module, "_CHUNK", chunk)
+            for min_part in (1, 5):
+                monkeypatch.setattr(corpus_module, "_MIN_PART", min_part)
+                for corpus, r_max, expected in cases:
+                    symbols = np.unique(corpus.codes).size
+                    for cpus in (1, 2, 3, 4):
+                        monkeypatch.setattr(corpus_module, "_cpus", lambda: cpus)
+                        sizes.clear()
+                        got = apparent_counts(corpus, r_max)
+                        assert got == expected, (chunk, min_part, cpus, corpus.codes.tolist())
+                        assert sum(sizes) == corpus.n_letters
+                        most = min(cpus, symbols, max(1, corpus.n_letters // min_part))
+                        assert len(sizes) <= most
+                        if cpus == 1:
+                            one_part = got
+                        assert got == one_part
+                        split += len(sizes) > 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert split > len(cases)
+    # Three of each symbol: cuts at the multiples of 3 nearest 19, 39 and 58.
+    monkeypatch.setattr(corpus_module, "_cpus", lambda: 4)
+    sizes.clear()
+    apparent_counts(build_corpus([list(range(26)) * 3], 26), 9)
+    assert sorted(sizes) == [18, 18, 21, 21]
+
+
+def test_two_part_census_peaks_at_ten_bytes_per_letter(monkeypatch):
+    # Two threads each hold their own chunk-sized temporaries beside the
+    # one array of keys.  The corpus is the smallest that the census splits
+    # in two; two CPUs are forced, so that the test also runs on one.
+    n = 2 * corpus_module._MIN_PART
+    corpus = build_corpus([np.random.default_rng(9).integers(0, 26, size=n, dtype=np.uint8)], 26)
+    monkeypatch.setattr(corpus_module, "_cpus", lambda: 2)
+    sizes = _spy_parts(monkeypatch)
+    assert _peak_bytes(apparent_counts, corpus, 9) <= 10 * n
+    assert len(sizes) == 2
+
+
+def test_an_exception_in_a_part_reaches_the_caller(monkeypatch):
+    real = corpus_module._sorted_squares
+
+    def second_part_fails(key, bits, r_max):
+        if key.min() >> np.uint64(64 - bits):  # grams after the cut start with symbol 1
+            raise RuntimeError("part failed")
+        return real(key, bits, r_max)
+
+    monkeypatch.setattr(corpus_module, "_MIN_PART", 1)
+    monkeypatch.setattr(corpus_module, "_cpus", lambda: 2)
+    monkeypatch.setattr(corpus_module, "_sorted_squares", second_part_fails)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="part failed"):
+        apparent_counts(build_corpus([[0] * 50 + [1] * 50], 2), 9)
+    assert threading.active_count() == threads
 
 
 def test_degenerate_periodic_circle_has_zero_actual_counts():
