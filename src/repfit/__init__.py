@@ -49,7 +49,6 @@ from .simlab import (
 )
 from .urn import (
     UrnModel,
-    acceptance_proportion,
     exact_completion_probability,
     hatted_urn,
     sample_figures,
@@ -75,7 +74,6 @@ __all__ = [
     "ScoreWeights",
     "UrnModel",
     "ValidationError",
-    "acceptance_proportion",
     "actual_counts",
     "apparent_counts",
     "build_corpus",

@@ -230,7 +230,7 @@ def _cmd_sample(args) -> int:
                               "do not fit in memory") from exc
     if args.out:
         doc = {
-            "figures": [f.serialize() for f in figures],
+            "figures": [f.cells for f in figures],
             "scrapped": scrapped,
             "overlap": args.overlap,
             "seed": args.seed,
@@ -239,7 +239,7 @@ def _cmd_sample(args) -> int:
         _write_artifact(args.out, dump(doc))
     else:
         for figure in figures:
-            print(figure.serialize())
+            print(figure.cells)
     _info(args, f"scrapped {scrapped} of {scrapped + len(figures)} comparisons")
     return EXIT_OK
 

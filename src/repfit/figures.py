@@ -52,17 +52,6 @@ class RepetitionFigure:
         """The overlap: number of aligned positions."""
         return len(self.cells)
 
-    @property
-    def repeated_letters(self) -> int:
-        """Number of coinciding positions (X cells)."""
-        return self.cells.count(X_CELL)
-
-    def serialize(self) -> str:
-        return self.cells
-
-    def __str__(self) -> str:
-        return self.cells
-
 
 @dataclass(frozen=True)
 class RunSpectrum:
@@ -94,19 +83,11 @@ class RunSpectrum:
         object.__setattr__(spectrum, "counts", counts)
         return spectrum
 
-    def get(self, r: int, default: int = 0) -> int:
-        return self.counts.get(r, default)
-
     def items(self):
         return self.counts.items()
 
     def __bool__(self) -> bool:
         return bool(self.counts)
-
-    @property
-    def repeated_letters(self) -> int:
-        """Total X cells accounted for: sum of r * k_r."""
-        return sum(r * k for r, k in self.counts.items())
 
     @property
     def cells_with_terminators(self) -> int:

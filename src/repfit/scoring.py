@@ -137,6 +137,8 @@ def weights(urn: UrnModel, log_base: str = "nat", floor: float | None = None) ->
 
 
 def _check_spectrum_fits(spectrum: RunSpectrum, overlap: int) -> int:
+    if overlap < 0:
+        raise ValidationError(f"overlap must be >= 0, got {overlap}")
     used = spectrum.cells_with_terminators
     if used > overlap + 1:
         raise ValidationError(
@@ -146,12 +148,7 @@ def _check_spectrum_fits(spectrum: RunSpectrum, overlap: int) -> int:
     return overlap + 1 - used
 
 
-def right_relevant_proportion(
-    urn: UrnModel,
-    spectrum: RunSpectrum,
-    overlap: int,
-    include_prefactor: bool = True,
-) -> float:
+def right_relevant_proportion(urn: UrnModel, spectrum: RunSpectrum, overlap: int) -> float:
     """Fraction of right comparisons showing exactly this figure.
 
     (1 + sum r*alpha_r) * A^(L + 1 - sum (r+1)k_r) * prod alpha_r^k_r.
@@ -159,13 +156,10 @@ def right_relevant_proportion(
     overshoot; without it the value is the raw probability that a completed
     drawing session spells out this figure.
     """
-    exponent = _check_spectrum_fits(spectrum, overlap)
-    value = urn.no_repeat ** exponent
+    value = urn.no_repeat ** _check_spectrum_fits(spectrum, overlap)
     for r, k in spectrum.items():
         value *= urn.alpha.get(r, 0.0) ** k
-    if include_prefactor:
-        value *= 1.0 + urn.mean_extra_cells
-    return value
+    return value * (1.0 + urn.mean_extra_cells)
 
 
 def wrong_relevant_proportion(alphabet_size: int, spectrum: RunSpectrum, overlap: int) -> float:
@@ -201,31 +195,22 @@ def _combine(w: ScoreWeights, prior_log_odds, run_evidence, overlap):
 
 def odds_of_fit(
     urn: UrnModel,
-    figure: RepetitionFigure | None = None,
-    spectrum: RunSpectrum | None = None,
-    overlap: int | None = None,
+    figure: RepetitionFigure,
     prior_log_odds: float = 0.0,
     log_base: str = "nat",
     floor: float | None = None,
 ) -> FitScore:
-    """Score a fit from a figure, or from a spectrum plus overlap.
+    """Score a fit from its figure.
 
     The prior is given in the chosen log unit; the evidence sums
-    ``mu_r * k_r`` over the spectrum's run lengths in its key order.
+    ``mu_r * k_r`` over the figure's run lengths in spectrum key order.
     """
-    if figure is not None:
-        if spectrum is not None or overlap is not None:
-            raise ValidationError("pass either a figure or a spectrum with an overlap, not both")
-        spectrum = run_spectrum(figure)
-        overlap = figure.length
-    elif spectrum is None or overlap is None:
-        raise ValidationError("scoring a spectrum requires its overlap")
+    spectrum = run_spectrum(figure)
     w = weights(urn, log_base, floor)
     if not math.isfinite(prior_log_odds):
         raise ValidationError(f"prior log-odds must be finite, got {prior_log_odds}")
-    _check_spectrum_fits(spectrum, overlap)
     run_evidence = sum(w.mu_for(r) * k for r, k in spectrum.items())
-    evidence, log_odds, posterior = _combine(w, prior_log_odds, run_evidence, overlap)
+    evidence, log_odds, posterior = _combine(w, prior_log_odds, run_evidence, figure.length)
     return FitScore(
         prior_log_odds=prior_log_odds,
         evidence=evidence,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class LanguageModel:
     kind: str = "iid-skewed"
     letter_probs: np.ndarray | None = None
     transition: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         c = self.alphabet_size
@@ -135,19 +134,12 @@ class LanguageModel:
 class Traffic:
     """A labeled batch of enciphered message pairs compared at one shift."""
 
-    plain_a: np.ndarray
-    plain_b: np.ndarray
     cipher_a: np.ndarray
     cipher_b: np.ndarray
     is_right: np.ndarray
     shift: int
     overlap: int
-    fraction_right: float
     prior_log_odds: float
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.is_right.size)
 
 
 def generate_traffic(
@@ -194,33 +186,29 @@ def generate_traffic(
     cipher_a = _encipher(plain_a, key[:, :msg_len], c)
 
     return Traffic(
-        plain_a=plain_a,
-        plain_b=plain_b,
         cipher_a=cipher_a,
         cipher_b=cipher_b,
         is_right=is_right,
         shift=shift,
         overlap=overlap,
-        fraction_right=fraction_right,
         prior_log_odds=math.log(fraction_right / (1.0 - fraction_right)),
     )
 
 
 def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> np.ndarray:
-    """(plain + key) mod c as uint8, computed in place in the int16 key,
-    _SAMPLE_CHUNK cells at a time.
+    """(plain + key) mod c as uint8, summed in place in the int16 key and
+    written over ``plain``, which is returned, _SAMPLE_CHUNK cells at a time.
 
     Both letters are < c <= 256, so their uint16 sum s is below 2c, and
     min(s, s - c) is s mod c because s - c wraps around when s < c.
     """
     s = key.view(np.uint16)
-    out = np.empty(plain.shape, dtype=np.uint8)
     step = max(1, _SAMPLE_CHUNK // plain.shape[1])
     for lo in range(0, len(plain), step):
         block = s[lo : lo + step]
         block += plain[lo : lo + step]
-        np.minimum(block, block - np.uint16(c), out=out[lo : lo + step], casting="unsafe")
-    return out
+        np.minimum(block, block - np.uint16(c), out=plain[lo : lo + step], casting="unsafe")
+    return plain
 
 
 def run_length_table(coincidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,17 +239,6 @@ class PosteriorBin:
     empirical_right_fraction: float
     binomial_se: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "n_total": self.n_total,
-            "n_right": self.n_right,
-            "mean_posterior": self.mean_posterior,
-            "empirical_right_fraction": self.empirical_right_fraction,
-            "binomial_se": self.binomial_se,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -271,25 +248,13 @@ class ExperimentReport:
     bins: tuple[PosteriorBin, ...]
     totals: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "bins": [b.to_dict() for b in self.bins],
-            "totals": self.totals,
-        }
-
     def to_json(self) -> str:
-        return dump(self.to_dict())
+        return dump(asdict(self))
 
     def csv_rows(self) -> list[str]:
-        header = "lo,hi,n_total,n_right,mean_posterior,empirical_right_fraction,binomial_se"
-        rows = [header]
-        for b in self.bins:
-            rows.append(
-                f"{b.lo!r},{b.hi!r},{b.n_total},{b.n_right},"
-                f"{b.mean_posterior!r},{b.empirical_right_fraction!r},{b.binomial_se!r}"
-            )
-        return rows
+        # Every bin field is a Python int or float, so repr is its CSV text.
+        header = ",".join(f.name for f in fields(PosteriorBin))
+        return [header] + [",".join(map(repr, astuple(b))) for b in self.bins]
 
 
 # JSON kind of each config field.  Sizes and counts become numpy dimensions,

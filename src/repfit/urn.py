@@ -18,7 +18,7 @@ Two reference models matter:
 ``exact_completion_probability`` is the finite-overlap oracle for the
 sampler: a dynamic program over block lengths giving the exact probability
 that the drawing process hits a given overlap, whose large-overlap limit is
-``acceptance_proportion``.
+1 / (1 + sum r * alpha_r).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .rng import checked_rng
 
 __all__ = [
     "UrnModel",
-    "acceptance_proportion",
     "exact_completion_probability",
     "hatted_urn",
     "sample_figures",
@@ -83,11 +82,6 @@ class UrnModel:
         object.__setattr__(self, "no_repeat", float(self.no_repeat))
 
     @property
-    def r_max(self) -> int:
-        """Largest run length with a positive card proportion (0 if none)."""
-        return max(self.alpha, default=0)
-
-    @property
     def mean_extra_cells(self) -> float:
         """Sum of r * alpha_r: expected X cells per draw."""
         return sum(r * a for r, a in self.alpha.items())
@@ -126,7 +120,8 @@ def _default_hatted_r_max(alphabet_size: int) -> int:
 
 
 def hatted_urn(alphabet_size: int, r_max: int | None = None) -> UrnModel:
-    """The flat-random urn: alpha_r = (c-1)/c^(r+1), truncated at r_max.
+    """The flat-random urn: alpha_r = (c-1)/c^(r+1), truncated at r_max or at
+    the first r whose proportion underflows to 0.0, as all deeper ones do.
 
     With the default depth the truncation error is far below double-precision
     round-off for every supported alphabet; the no-repeat share then equals
@@ -139,14 +134,13 @@ def hatted_urn(alphabet_size: int, r_max: int | None = None) -> UrnModel:
         r_max = _default_hatted_r_max(c)
     if r_max < 1:
         raise ValidationError(f"r_max must be >= 1, got {r_max}")
-    alpha = {r: (c - 1) / c ** (r + 1) for r in range(1, r_max + 1)}
+    alpha = {}
+    for r in range(1, r_max + 1):
+        a = (c - 1) / c ** (r + 1)
+        if not a:
+            break
+        alpha[r] = a
     return UrnModel(alpha=alpha, no_repeat=1.0 - sum(alpha.values()), alphabet_size=c)
-
-
-def acceptance_proportion(urn: UrnModel) -> float:
-    """Large-overlap fraction of drawing sessions that hit the target exactly:
-    1 / (1 + sum of r * alpha_r)."""
-    return 1.0 / (1.0 + urn.mean_extra_cells)
 
 
 def exact_completion_probability(urn: UrnModel, overlap: int) -> float:

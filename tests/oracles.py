@@ -11,13 +11,14 @@ field by field.  The one exception is ``run_evidence_oracle``, the earlier
 whole-matrix evidence sum, which calls the package's ``run_length_table``
 (itself checked against ``scan_run_spectrum``).  It also holds helpers that
 only tests use (``Alignment``, ``draws_needed``, ``hatted_apparent``,
-``wrong_relevance_ratio``, ``plain_coincidences``, ``cipher_coincidences``,
-``figures_from_draws``).
+``wrong_relevance_ratio``, ``acceptance_proportion``, ``repeated_letters``,
+``figure_of``, ``cipher_coincidences``, ``figures_from_draws``).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -89,7 +90,33 @@ class Alignment:
 def draws_needed(figure) -> int:
     """Number of urn draws that produce this figure: overlap minus repeated
     letters, plus one for the terminating draw of the final run or cell."""
-    return figure.length - figure.repeated_letters + 1
+    return figure.length - repeated_letters(figure) + 1
+
+
+def repeated_letters(fit) -> int:
+    """Coinciding positions: the X cells of a figure, or the sum of r * k_r
+    of a run spectrum."""
+    if isinstance(fit, RepetitionFigure):
+        return fit.cells.count(X_CELL)
+    return sum(r * k for r, k in fit.items())
+
+
+def figure_of(spectrum, overlap: int) -> RepetitionFigure:
+    """A figure of the given overlap with this run spectrum: every run and its
+    terminating O, in the spectrum's key order, then O cells up to the
+    overlap.  When runs and terminators fill overlap + 1 cells, the final O
+    is the one dropped."""
+    cells = "".join((X_CELL * r + O_CELL) * k for r, k in spectrum.items())
+    if overlap < 0 or len(cells) > overlap + 1:
+        raise ValidationError(f"no figure of overlap {overlap} holds {len(cells)} cells "
+                              "of runs and terminators")
+    return RepetitionFigure((cells + O_CELL * overlap)[:overlap])
+
+
+def acceptance_proportion(urn) -> float:
+    """Large-overlap fraction of drawing sessions that hit the target exactly:
+    1 / (1 + sum of r * alpha_r)."""
+    return 1.0 / (1.0 + urn.mean_extra_cells)
 
 
 def hatted_apparent(alphabet_size: int, r: int, n_letters: int) -> float:
@@ -349,15 +376,28 @@ def traffic_oracle(lm, n_pairs: int, msg_len: int, overlap: int, fraction_right:
     return plain[0], plain[1], cipher_a, cipher_b, is_right
 
 
-def plain_coincidences(traffic) -> np.ndarray:
-    """Boolean figure matrix of a traffic batch's aligned plaintext region,
-    one row per pair."""
-    return traffic.plain_a[:, traffic.shift :] == traffic.plain_b[:, : traffic.overlap]
-
-
 def cipher_coincidences(traffic) -> np.ndarray:
     """Boolean figure matrix of the aligned ciphertext region, one row per pair."""
     return traffic.cipher_a[:, traffic.shift :] == traffic.cipher_b[:, : traffic.overlap]
+
+
+def report_text_oracle(report):
+    """(JSON text, CSV rows) of an experiment report, each bin written field
+    by field, as the package did before its bin fields were listed once."""
+    bins = [{
+        "lo": b.lo,
+        "hi": b.hi,
+        "n_total": b.n_total,
+        "n_right": b.n_right,
+        "mean_posterior": b.mean_posterior,
+        "empirical_right_fraction": b.empirical_right_fraction,
+        "binomial_se": b.binomial_se,
+    } for b in report.bins]
+    doc = {"config": report.config, "bins": bins, "totals": report.totals}
+    rows = ["lo,hi,n_total,n_right,mean_posterior,empirical_right_fraction,binomial_se"]
+    rows += [f"{b.lo!r},{b.hi!r},{b.n_total},{b.n_right},{b.mean_posterior!r},"
+             f"{b.empirical_right_fraction!r},{b.binomial_se!r}" for b in report.bins]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", rows
 
 
 def figures_from_draws(draws, overlap: int, count: int, keep_trailing_o: bool = True):

@@ -22,18 +22,19 @@ from repfit.scoring import (
 from repfit.simlab import ExperimentConfig, LanguageModel, calibration_experiment, run_length_table
 from repfit.urn import (
     UrnModel,
-    acceptance_proportion,
     exact_completion_probability,
     hatted_urn,
     sample_figures,
 )
 
 from oracles import (
+    acceptance_proportion,
     actual_oracle,
     apparent_oracle,
     block_probability,
     completing_figures,
     feasible_spectra,
+    figure_of,
     figures_from_draws,
     spectrum_multiplicity,
 )
@@ -96,7 +97,7 @@ def test_criterion_03_hatted_closure():
         length = rng.randrange(1, 150)
         cells = "".join("X" if rng.random() < 0.3 else "O" for _ in range(length))
         figure = parse_figure(cells)
-        assert max(run_spectrum(figure).counts, default=0) <= urn.r_max
+        assert max(run_spectrum(figure).counts, default=0) <= max(urn.alpha)
         prior = rng.uniform(-4.0, 4.0)
         score = odds_of_fit(urn, figure=figure, prior_log_odds=prior)
         worst_rel = max(worst_rel, abs(math.exp(score.log_odds - prior) - 1.0))
@@ -152,8 +153,8 @@ def test_criterion_05_enumeration_oracle():
                 p = block_probability(cells, alpha, urn.no_repeat)
                 total += p
                 spectrum = run_spectrum(parse_figure(cells))
-                formula = right_relevant_proportion(
-                    urn, spectrum, overlap - 1, include_prefactor=False
+                formula = right_relevant_proportion(urn, spectrum, overlap - 1) / (
+                    1 + urn.mean_extra_cells
                 )
                 if dyadic:
                     if formula != p:
@@ -248,9 +249,11 @@ def test_criterion_08_consistency_identity():
         urn = UrnModel(alpha=alpha, no_repeat=1.0 - total,
                        alphabet_size=rng.choice([2, 3, 4, 26, 30]))
         spectrum = RunSpectrum({r: rng.randrange(0, 4) for r in alpha if rng.random() < 0.7})
-        overlap = spectrum.cells_with_terminators - 1 + rng.randrange(0, 80)
+        # An empty spectrum may draw overlap -1, which no figure has: such a
+        # triple is scored at overlap 0.
+        overlap = max(spectrum.cells_with_terminators - 1 + rng.randrange(0, 80), 0)
         prior = rng.uniform(-3.0, 3.0)
-        score = odds_of_fit(urn, spectrum=spectrum, overlap=overlap, prior_log_odds=prior)
+        score = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=prior)
         direct = math.log(
             right_relevant_proportion(urn, spectrum, overlap)
             / wrong_relevant_proportion(urn.alphabet_size, spectrum, overlap)
@@ -266,7 +269,7 @@ def test_criterion_08_consistency_identity():
 def test_criterion_09_worked_example_replay():
     draws = [4, 0, 0, 0, 2, 0, 3, 13] + [0] * 13
     figures, scrapped = figures_from_draws(draws, overlap=12, count=2)
-    texts = [f.serialize() for f in figures]
+    texts = [f.cells for f in figures]
     ok = texts == ["XXXXOOOOXXOO", "OOOOOOOOOOOO"] and scrapped == 1
     _report(9, ok, f"figures {texts}, scrapped {scrapped}")
     assert texts == ["XXXXOOOOXXOO", "OOOOOOOOOOOO"]

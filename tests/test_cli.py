@@ -442,6 +442,19 @@ def test_hatted_urn_of_the_largest_alphabet_size(capsys):
     assert json.loads(out)["c"] == 2**63 - 1
 
 
+@pytest.mark.parametrize("c, deepest", [(2, 1073), (3, 677), (26, 228), (2**63 - 1, 17)])
+def test_hatted_urn_stops_where_its_proportions_underflow(tmp_path, capsys, c, deepest):
+    # (c-1)/c**(r+1) is 0.0 beyond r = deepest, so --rmax 2**40 writes the
+    # --rmax deepest urn instead of building 2**40 entries.
+    paths = [tmp_path / "deep.json", tmp_path / "exact.json"]
+    for rmax, path in zip((2**40, deepest), paths):
+        code, _, _ = run(capsys, "--reproducible", "urn", "--hatted", "--alphabet-size", str(c),
+                         "--rmax", str(rmax), "--out", str(path))
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert max(map(int, json.loads(paths[0].read_text())["alpha"])) == deepest
+
+
 def test_artifacts_are_idempotent_with_reproducible(tmp_path, capsys):
     corpus = write(tmp_path, "corpus.txt", "BANANARAMA")
     out1 = tmp_path / "s1.json"

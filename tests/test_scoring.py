@@ -21,6 +21,8 @@ from repfit.urn import UrnModel, exact_completion_probability, hatted_urn, urn_f
 
 from oracles import (
     completing_figures,
+    figure_of,
+    repeated_letters,
     scan_run_spectrum,
     score_with_weights_oracle,
     weights_oracle,
@@ -65,7 +67,7 @@ def test_mu_plug_in_example():
     # Cross-check: the log form reproduces the explicit odds product.
     spectrum = RunSpectrum({2: 2})
     overlap = 9
-    score = odds_of_fit(urn, spectrum=spectrum, overlap=overlap, prior_log_odds=math.log(3.0))
+    score = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=math.log(3.0))
     direct = (
         3.0
         * right_relevant_proportion(urn, spectrum, overlap)
@@ -118,14 +120,24 @@ def test_right_relevant_prefactor_is_the_renewal_normalization():
         spectrum = RunSpectrum(scan_run_spectrum(cells))
         # The drawn figure carries its trailing O; the genuine figure is one
         # cell shorter.
-        total += right_relevant_proportion(urn, spectrum, overlap - 1, include_prefactor=False)
+        total += right_relevant_proportion(urn, spectrum, overlap - 1) / (1 + urn.mean_extra_cells)
     assert abs(total - exact_completion_probability(urn, overlap)) < 1e-12
 
 
 def test_right_relevant_proportion_rejects_oversized_spectrum():
-    urn = hatted_urn(26)
-    with pytest.raises(ValidationError):
-        right_relevant_proportion(urn, RunSpectrum({4: 2}), 8)
+    # Two tetragrammes and their terminators fill 10 cells; overlap 8 admits 9.
+    spectrum = RunSpectrum({4: 2})
+    with pytest.raises(ValidationError, match="needs 10 cells .* admits only 9"):
+        right_relevant_proportion(hatted_urn(26), spectrum, 8)
+    with pytest.raises(ValidationError, match="needs 10 cells .* admits only 9"):
+        wrong_relevant_proportion(26, spectrum, 8)
+    assert right_relevant_proportion(hatted_urn(26), spectrum, 9) > 0
+    assert wrong_relevant_proportion(26, spectrum, 9) > 0
+    # No figure has a negative overlap, not even one without runs.
+    with pytest.raises(ValidationError, match="overlap must be >= 0, got -1"):
+        right_relevant_proportion(hatted_urn(26), RunSpectrum({}), -1)
+    with pytest.raises(ValidationError, match="overlap must be >= 0, got -1"):
+        wrong_relevant_proportion(26, RunSpectrum({}), -1)
 
 
 def test_wrong_relevant_proportion_is_the_iid_figure_probability():
@@ -161,7 +173,7 @@ def test_wrong_relevant_equals_relevance_ratio():
         )
         for c in (2, 4, 26):
             assert wrong_relevant_proportion(c, spectrum, overlap) == pytest.approx(
-                wrong_relevance_ratio(overlap, spectrum.repeated_letters, c), rel=1e-12
+                wrong_relevance_ratio(overlap, repeated_letters(spectrum), c), rel=1e-12
             )
 
 
@@ -192,7 +204,7 @@ def test_hatted_urn_scores_everything_at_the_prior():
 
 def test_zero_overlap_discrepancy_is_the_correction_term():
     urn = UrnModel(alpha={1: 0.1, 2: 0.03}, no_repeat=0.87, alphabet_size=26)
-    score = odds_of_fit(urn, spectrum=RunSpectrum({}), overlap=0, prior_log_odds=0.7)
+    score = odds_of_fit(urn, figure=figure_of(RunSpectrum({}), 0), prior_log_odds=0.7)
     w = weights(urn)
     assert score.log_odds == pytest.approx(0.7 + w.correction, rel=1e-12)
     assert score.evidence == 0.0
@@ -207,7 +219,7 @@ def test_headline_fit_scores_finitely_and_consistently():
     spectrum = RunSpectrum({4: 1, 2: 2, 1: 15})
     assert all(urn.alpha.get(r, 0) > 0 for r in spectrum.counts)
     prior = math.log(1 / 400)
-    score = odds_of_fit(urn, spectrum=spectrum, overlap=105, prior_log_odds=prior)
+    score = odds_of_fit(urn, figure=figure_of(spectrum, 105), prior_log_odds=prior)
     assert math.isfinite(score.log_odds)
     direct = (
         math.log(right_relevant_proportion(urn, spectrum, 105))
@@ -222,7 +234,7 @@ def test_consistency_identity_on_random_inputs():
         urn = random_urn(rng, c=rng.choice([2, 4, 26]))
         spectrum, overlap = random_spectrum(rng, urn)
         prior = rng.uniform(-3, 3)
-        score = odds_of_fit(urn, spectrum=spectrum, overlap=overlap, prior_log_odds=prior)
+        score = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=prior)
         direct = math.log(
             right_relevant_proportion(urn, spectrum, overlap)
             / wrong_relevant_proportion(urn.alphabet_size, spectrum, overlap)
@@ -233,10 +245,10 @@ def test_consistency_identity_on_random_inputs():
 def test_log_odds_is_affine_in_counts_and_overlap():
     urn = UrnModel(alpha={1: 0.12, 2: 0.05, 3: 0.02}, no_repeat=0.81, alphabet_size=26)
     w = weights(urn)
-    base = odds_of_fit(urn, spectrum=RunSpectrum({1: 2, 2: 1}), overlap=40).log_odds
-    bumped_k = odds_of_fit(urn, spectrum=RunSpectrum({1: 3, 2: 1}), overlap=40).log_odds
+    base = odds_of_fit(urn, figure=figure_of(RunSpectrum({1: 2, 2: 1}), 40)).log_odds
+    bumped_k = odds_of_fit(urn, figure=figure_of(RunSpectrum({1: 3, 2: 1}), 40)).log_odds
     assert bumped_k - base == pytest.approx(w.mu[1], rel=1e-9)
-    bumped_l = odds_of_fit(urn, spectrum=RunSpectrum({1: 2, 2: 1}), overlap=41).log_odds
+    bumped_l = odds_of_fit(urn, figure=figure_of(RunSpectrum({1: 2, 2: 1}), 41)).log_odds
     assert bumped_l - base == pytest.approx(-w.nu, rel=1e-9)
 
 
@@ -250,15 +262,15 @@ def test_deciban_weights_are_scaled_natural_weights():
     for r in nat.mu:
         assert db.mu[r] == pytest.approx(nat.mu[r] * scale, rel=1e-12)
     spectrum, overlap = RunSpectrum({1: 3, 4: 1}), 30
-    p_nat = odds_of_fit(urn, spectrum=spectrum, overlap=overlap, prior_log_odds=0.5).posterior
-    p_db = odds_of_fit(urn, spectrum=spectrum, overlap=overlap, prior_log_odds=0.5 * scale,
+    p_nat = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=0.5).posterior
+    p_db = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=0.5 * scale,
                        log_base="db").posterior
     assert p_nat == pytest.approx(p_db, rel=1e-12)
 
 
 def test_posterior_definition():
     urn = UrnModel(alpha={1: 0.1}, no_repeat=0.9, alphabet_size=26)
-    score = odds_of_fit(urn, spectrum=RunSpectrum({1: 1}), overlap=5, prior_log_odds=0.3)
+    score = odds_of_fit(urn, figure=figure_of(RunSpectrum({1: 1}), 5), prior_log_odds=0.3)
     q = math.exp(score.log_odds)
     assert score.posterior == pytest.approx(q / (1 + q), rel=1e-12)
     assert 0.0 < score.posterior < 1.0
@@ -268,13 +280,13 @@ def test_posterior_definition():
 def test_unknown_run_length_is_an_error_without_smoothing():
     urn = UrnModel(alpha={1: 0.1}, no_repeat=0.9, alphabet_size=26)
     with pytest.raises(ModelError, match="3-gramme"):
-        odds_of_fit(urn, spectrum=RunSpectrum({3: 1}), overlap=10)
+        odds_of_fit(urn, figure=figure_of(RunSpectrum({3: 1}), 10))
 
 
 def test_smoothing_floor_fills_missing_weights():
     urn = UrnModel(alpha={1: 0.1}, no_repeat=0.9, alphabet_size=26)
     floor = 1e-6
-    score = odds_of_fit(urn, spectrum=RunSpectrum({3: 1}), overlap=10, floor=floor)
+    score = odds_of_fit(urn, figure=figure_of(RunSpectrum({3: 1}), 10), floor=floor)
     w = weights(urn, floor=floor)
     expected_mu = math.log(floor * 26**4 / 25) + 4 * w.nu
     assert w.mu_for(3) == pytest.approx(expected_mu, rel=1e-12)
@@ -286,11 +298,7 @@ def test_smoothing_floor_fills_missing_weights():
 def test_score_input_validation():
     urn = hatted_urn(26)
     with pytest.raises(ValidationError, match="finite"):
-        odds_of_fit(urn, spectrum=RunSpectrum({}), overlap=5, prior_log_odds=math.inf)
-    with pytest.raises(ValidationError):
-        odds_of_fit(urn, spectrum=RunSpectrum({}), overlap=None)
-    with pytest.raises(ValidationError):
-        odds_of_fit(urn, figure=parse_figure("XO"), spectrum=RunSpectrum({}), overlap=2)
+        odds_of_fit(urn, figure=figure_of(RunSpectrum({}), 5), prior_log_odds=math.inf)
     with pytest.raises(ValidationError):
         weights(urn, log_base="bits")
 

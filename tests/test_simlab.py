@@ -23,7 +23,7 @@ from repfit.simlab import (
 from oracles import (
     cipher_coincidences,
     markov_sample_oracle,
-    plain_coincidences,
+    report_text_oracle,
     run_evidence_oracle,
     scan_run_spectrum,
     traffic_oracle,
@@ -172,7 +172,7 @@ def test_markov_draw_past_a_row_summing_below_one_is_the_last_state():
 def test_traffic_bookkeeping():
     traffic = generate_traffic(UNIFORM4, n_pairs=10_000, msg_len=20, overlap=20,
                                fraction_right=0.5, seed=4)
-    assert traffic.n_pairs == 10_000
+    assert traffic.cipher_a.shape == traffic.cipher_b.shape == (10_000, 20)
     assert traffic.is_right.sum() == 5_000
     assert traffic.prior_log_odds == pytest.approx(0.0)
 
@@ -185,13 +185,19 @@ def test_traffic_bookkeeping():
                   transition=np.array([[0.6, 0.4, 0.0], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]])),
 ], ids=["skewed4", "uniform200", "uniform256", "markov3"])
 def test_traffic_equals_the_reference_draws(lm):
-    traffic = generate_traffic(lm, n_pairs=300, msg_len=40, overlap=25,
-                               fraction_right=0.4, seed=2718)
-    expected = traffic_oracle(lm, 300, 40, 25, 0.4, 2718)
-    got = (traffic.plain_a, traffic.plain_b, traffic.cipher_a, traffic.cipher_b, traffic.is_right)
-    for array, reference in zip(got, expected):
-        assert np.array_equal(array, reference)
-    assert traffic.cipher_a.dtype == traffic.cipher_b.dtype == np.uint8
+    # Ciphertexts are written over the plaintexts, in whole-batch blocks or
+    # in blocks of 1 or 7 rows.
+    expected = traffic_oracle(lm, 300, 40, 25, 0.4, 2718)[2:]
+    for block_rows in (None, 1, 7):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if block_rows is not None:
+                monkeypatch.setattr(simlab, "_SAMPLE_CHUNK", block_rows * 40)
+            traffic = generate_traffic(lm, n_pairs=300, msg_len=40, overlap=25,
+                                       fraction_right=0.4, seed=2718)
+        got = (traffic.cipher_a, traffic.cipher_b, traffic.is_right)
+        for array, reference in zip(got, expected):
+            assert np.array_equal(array, reference)
+        assert traffic.cipher_a.dtype == traffic.cipher_b.dtype == np.uint8
 
 
 @pytest.mark.parametrize("c", [4, 256])
@@ -203,8 +209,8 @@ def test_traffic_enciphered_in_blocks_equals_the_reference_draws(c, block_rows):
         monkeypatch.setattr(simlab, "_SAMPLE_CHUNK", block_rows * 12)
         traffic = generate_traffic(lm, n_pairs=30, msg_len=12, overlap=9,
                                    fraction_right=0.4, seed=31)
-    expected = traffic_oracle(lm, 30, 12, 9, 0.4, 31)
-    got = (traffic.plain_a, traffic.plain_b, traffic.cipher_a, traffic.cipher_b, traffic.is_right)
+    expected = traffic_oracle(lm, 30, 12, 9, 0.4, 31)[2:]
+    got = (traffic.cipher_a, traffic.cipher_b, traffic.is_right)
     for array, reference in zip(got, expected):
         assert np.array_equal(array, reference)
 
@@ -212,8 +218,9 @@ def test_traffic_enciphered_in_blocks_equals_the_reference_draws(c, block_rows):
 def test_right_pairs_coincide_exactly_where_plaintexts_do():
     traffic = generate_traffic(SKEWED4, n_pairs=500, msg_len=40, overlap=25,
                                fraction_right=0.4, seed=9)
+    plain_a, plain_b, *_ = traffic_oracle(SKEWED4, 500, 40, 25, 0.4, 9)
     cipher = cipher_coincidences(traffic)
-    plain = plain_coincidences(traffic)
+    plain = plain_a[:, traffic.shift :] == plain_b[:, : traffic.overlap]
     right = traffic.is_right
     assert np.array_equal(cipher[right], plain[right])
     # And the figure module agrees with the matrix route on a few pairs.
@@ -350,8 +357,9 @@ def test_report_totals_and_csv_shape():
     rows = report.csv_rows()
     assert rows[0].startswith("lo,hi,n_total")
     assert len(rows) == len(report.bins) + 1
-    doc = report.to_dict()
+    doc = json.loads(report.to_json())
     assert {"config", "bins", "totals"} <= doc.keys()
+    assert (report.to_json(), rows) == report_text_oracle(report)
 
 
 def test_unscorable_run_without_smoothing_propagates():
@@ -402,7 +410,7 @@ def test_experiment_log_odds_match_odds_of_fit_row_by_row(
     (model,), weight_kwargs, _ = calls["weights"]
     traffic = calls["traffic"][2]
     scored = []
-    for row in range(traffic.n_pairs):
+    for row in range(len(traffic.is_right)):
         figure = figure_from_comparison(traffic.cipher_a[row], traffic.cipher_b[row], traffic.shift)
         try:
             scored.append(odds_of_fit(model, figure=figure, prior_log_odds=traffic.prior_log_odds,
@@ -466,9 +474,10 @@ def test_blocked_scoring_equals_the_whole_matrix_oracle(
     assert json.loads(blocked)["totals"]["max_run_scored"] == max_run
 
 
-def test_experiment_peaks_below_eight_bytes_per_cell():
-    # The traffic's letters, keys and ciphers, less B's keys once they are
-    # enciphered, and block-sized scoring temporaries: about 7.2 B per cell.
+def test_experiment_peaks_below_seven_bytes_per_cell():
+    # The traffic's letters, ciphered in place, and keys, less B's keys once
+    # they are enciphered, and block-sized scoring temporaries: about 6.2 B
+    # per cell.
     config = ExperimentConfig(SKEWED4, corpus_size=20_000, n_pairs=20_000, overlap=50,
                               fraction_right=0.5, seed=8)
     tracemalloc.start()
@@ -477,7 +486,7 @@ def test_experiment_peaks_below_eight_bytes_per_cell():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (20_000 * 50) < 8.0
+    assert peak / (20_000 * 50) < 7.0
 
 
 def test_config_parsing_errors_name_the_field():

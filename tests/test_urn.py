@@ -12,7 +12,6 @@ from repfit.corpus import RepeatStatistics, build_corpus, compute_statistics
 from repfit.errors import ModelError, ValidationError
 from repfit.urn import (
     UrnModel,
-    acceptance_proportion,
     exact_completion_probability,
     hatted_urn,
     sample_figures,
@@ -22,6 +21,7 @@ from repfit.urn import (
 )
 
 from oracles import (
+    acceptance_proportion,
     block_probability,
     completing_figures,
     figures_from_draws,
@@ -116,8 +116,8 @@ def test_hatted_rejects_tiny_alphabet():
 
 
 def test_hatted_default_depth_grows_for_small_alphabets():
-    assert hatted_urn(26).r_max == 25
-    assert hatted_urn(2).r_max > 40
+    assert max(hatted_urn(26).alpha) == 25
+    assert max(hatted_urn(2).alpha) > 40
 
 
 def test_hatted_apparent():
@@ -178,13 +178,13 @@ def test_completion_probability_matches_enumeration():
 def test_sampler_replays_worked_example():
     draws = [4, 0, 0, 0, 2, 0, 3, 13] + [0] * 13
     figures, scrapped = figures_from_draws(draws, overlap=12, count=2)
-    assert [f.serialize() for f in figures] == ["XXXXOOOOXXOO", "OOOOOOOOOOOO"]
+    assert [f.cells for f in figures] == ["XXXXOOOOXXOO", "OOOOOOOOOOOO"]
     assert scrapped == 1
 
 
 def test_sampler_replay_strips_final_o_on_request():
     figures, _ = figures_from_draws([4, 0, 0, 0, 2, 0], 12, 1, keep_trailing_o=False)
-    assert figures[0].serialize() == "XXXXOOOOXXO"
+    assert figures[0].cells == "XXXXOOOOXXO"
 
 
 def test_sampler_replay_errors():
@@ -197,7 +197,7 @@ def test_sampler_replay_errors():
 def test_sampler_empty_alpha_gives_all_o_figures():
     urn = UrnModel(alpha={}, no_repeat=1.0, alphabet_size=26)
     figures, scrapped = sample_figures(urn, overlap=5, count=2, seed=3)
-    assert [f.serialize() for f in figures] == ["OOOOO", "OOOOO"]
+    assert [f.cells for f in figures] == ["OOOOO", "OOOOO"]
     assert scrapped == 0
 
 
@@ -205,7 +205,7 @@ def test_sampler_is_deterministic_for_a_seed():
     urn = hatted_urn(4)
     first = sample_figures(urn, overlap=30, count=200, seed=99)
     second = sample_figures(urn, overlap=30, count=200, seed=99)
-    assert [f.serialize() for f in first[0]] == [f.serialize() for f in second[0]]
+    assert [f.cells for f in first[0]] == [f.cells for f in second[0]]
     assert first[1] == second[1]
 
 
