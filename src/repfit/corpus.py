@@ -43,15 +43,15 @@ cards and the rest are no-repeat cards.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .artifacts import INT64, INT64_ARRAY, STRING, dump, read_fields, read_object
 from .errors import ModelError, ValidationError
+from .rng import _cpus, _in_threads
 
 __all__ = [
     "CircularCorpus",
@@ -216,35 +216,6 @@ def _pack(codes: np.ndarray, bits: int, r_max: int, words: list[np.ndarray],
         chunk[w] <<= free
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _in_threads(fn, calls: list[tuple]) -> list:
-    """fn(*args) for each args of ``calls``, each in its own thread when
-    there are several; the results in order.  The first exception a call
-    raises is raised here, after every thread has ended."""
-    if len(calls) == 1:
-        return [fn(*calls[0])]
-    results, errors = [None] * len(calls), []
-
-    def run(i, args):
-        try:
-            results[i] = fn(*args)
-        except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i, args)) for i, args in enumerate(calls)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _cuts(codes: np.ndarray, c: int, parts: int) -> list[int]:
     """Bounds of about ``parts`` equal parts of the sorted one-word keys,
     each cut where the first symbol changes: the key index after the last
@@ -295,14 +266,14 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     symbols = corpus.codes.astype(np.min_scalar_type(c - 1), copy=False)
     words = [np.zeros(n, dtype=np.uint64) for _ in range(-(-bits * r_max // _WORD_BITS))]
     parts = 1 if len(words) > 1 or c == 1 else max(1, min(_cpus(), n // _MIN_PART))
-    _in_threads(_pack, [(symbols, bits, r_max, words, n * p // parts, n * (p + 1) // parts)
-                        for p in range(parts)])
+    _in_threads([partial(_pack, symbols, bits, r_max, words, n * p // parts, n * (p + 1) // parts)
+                 for p in range(parts)])
     if len(words) == 1:
         key, cuts = words[0], _cuts(symbols, c, parts)
         for lo, cut in zip(cuts, cuts[1:-1]):
             key[lo:].partition(cut - lo)
-        squares = _in_threads(_sorted_squares, [(key[lo:hi], bits, r_max)
-                                                for lo, hi in zip(cuts, cuts[1:])])
+        squares = _in_threads([partial(_sorted_squares, key[lo:hi], bits, r_max)
+                               for lo, hi in zip(cuts, cuts[1:])])
     else:
         # lexsort radix-sorts 16-bit keys but merge-sorts wider ones, so it
         # is given the 16-bit pieces of every word, least significant first.

@@ -17,14 +17,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .artifacts import INT64, INTEGER, NUMBER, NUMBER_ARRAY, NUMBER_MATRIX, OBJECT, STRING, dump
 from .artifacts import is_int64, is_number, read_fields
-from .corpus import build_corpus, compute_statistics
+from .corpus import _MIN_PART, build_corpus, compute_statistics
 from .errors import ValidationError
-from .rng import checked_rng
+from .rng import _cpus, _in_threads, _split, checked_rng
 from .scoring import _combine, weights
 from .urn import hatted_urn, urn_from_stats
 
@@ -92,7 +93,23 @@ class LanguageModel:
         """Letter codes of the given shape (rows are independent texts).
 
         The iid path equals ``rng.choice(c, size=shape, p=letter_probs)`` as
-        ``uint8`` and leaves ``rng`` in the same state.
+        ``uint8`` and leaves ``rng`` in the same state.  ``rng``'s bit
+        generator must have ``advance``, as default_rng's PCG64 does.
+        """
+        out, jobs = self._draw(shape, rng, _cpus())
+        _in_threads(jobs)
+        return out
+
+    def _draw(self, shape: tuple[int, ...], rng: np.random.Generator,
+              cpus: int) -> tuple[np.ndarray, list]:
+        """An unfilled text of the given shape, and the jobs that fill it.
+
+        The draws whose count depends on the data (markov-1 start states)
+        are made on ``rng`` here, and ``rng`` is moved past the text's
+        uniforms, which the jobs draw from their own copies of it (see
+        rng._split).  The jobs may run in any order, at once, on any thread.
+        An iid text of n letters is cut into min(cpus, n // _MIN_PART) jobs,
+        at least one; a chain is one job.
         """
         c = self.alphabet_size
         out = np.empty(shape, dtype=np.uint8)
@@ -102,32 +119,54 @@ class LanguageModel:
             cdf = self.letter_probs.cumsum()
             cdf /= cdf[-1]
             codes = out.reshape(-1)
-            u = np.empty(min(codes.size, _SAMPLE_CHUNK))
-            hit = np.empty(u.size, dtype=bool)
-            for lo in range(0, codes.size, _SAMPLE_CHUNK):
-                chunk = codes[lo : lo + _SAMPLE_CHUNK]
-                draws = rng.random(out=u[: chunk.size])
-                np.greater_equal(draws, cdf[0], out=chunk)
-                for k in range(1, c - 1):
-                    np.greater_equal(draws, cdf[k], out=hit[: chunk.size])
-                    chunk += hit[: chunk.size]
-            return out
+            n = codes.size
+            parts = max(1, min(cpus, n // _MIN_PART))
+            bounds = [n * p // parts for p in range(parts + 1)]
+            gens = _split(rng, [hi - lo for lo, hi in zip(bounds, bounds[1:])])
+            return out, [partial(_fill_iid, codes[lo:hi], cdf, gen)
+                         for lo, hi, gen in zip(bounds, bounds[1:], gens)]
         rows, cols = (1, shape[0]) if len(shape) == 1 else shape
         if cols == 0:
-            return out
-        out = out.reshape(rows, cols)
-        # The next state is the count of the cumulative sums, bar the last,
-        # that are <= u: the first sum > u once the last is set to infinity.
-        # So a row summing to just under 1 yields c-1, never 0.
+            return out, []
         cum = np.cumsum(self.transition, axis=1)
-        cum[:, -1] = np.inf
         state = rng.integers(0, c, size=rows)
-        out[:, 0] = state
-        for j in range(1, cols):
-            u = rng.random(rows)
-            state = (u[:, None] < cum[state]).argmax(axis=1)
-            out[:, j] = state
-        return out.reshape(shape)
+        (gen,) = _split(rng, [rows * (cols - 1)])
+        return out, [partial(_fill_chain, out.reshape(rows, cols), cum, state, gen)]
+
+
+def _fill_iid(codes: np.ndarray, cdf: np.ndarray, rng: np.random.Generator) -> None:
+    """Letters for ``codes`` from one uniform each: the count of ``cdf``
+    entries <= u, tallied one threshold at a time over _SAMPLE_CHUNK draws."""
+    u = np.empty(min(codes.size, _SAMPLE_CHUNK))
+    hit = np.empty(u.size, dtype=bool)
+    for lo in range(0, codes.size, _SAMPLE_CHUNK):
+        chunk = codes[lo : lo + _SAMPLE_CHUNK]
+        draws = rng.random(out=u[: chunk.size])
+        np.greater_equal(draws, cdf[0], out=chunk)
+        for k in range(1, cdf.size - 1):
+            np.greater_equal(draws, cdf[k], out=hit[: chunk.size])
+            chunk += hit[: chunk.size]
+
+
+def _fill_chain(out: np.ndarray, cum: np.ndarray, state: np.ndarray,
+                rng: np.random.Generator) -> None:
+    """Each row of ``out`` a chain from its start ``state``, one column of
+    uniforms at a time.  The next state is the count of the cumulative sums
+    of the row, bar the last, that are <= u; they do not decrease, so this
+    is the first sum > u once the last is infinite, and a row summing to
+    just under 1 yields c-1, never 0.  The sums are gathered one column of
+    ``cum`` at a time, so every temporary is a column of ``out``."""
+    rows = len(state)
+    columns = np.ascontiguousarray(cum[:, :-1].T)
+    u, sums, hit = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+    out[:, 0] = state
+    for j in range(1, out.shape[1]):
+        rng.random(out=u)
+        nxt = np.zeros(rows, dtype=np.intp)
+        for column in columns:
+            np.less_equal(np.take(column, state, out=sums), u, out=hit)
+            nxt += hit
+        out[:, j] = state = nxt
 
 
 @dataclass(frozen=True)
@@ -155,29 +194,39 @@ def generate_traffic(
     Exactly round(n_pairs * fraction_right) pairs are right (in depth); the
     label order is shuffled.  The recorded prior odds are
     fraction_right / (1 - fraction_right).
-    """
-    if not 0 < fraction_right < 1:
-        raise ValidationError(f"fraction_right must lie strictly in (0, 1), got {fraction_right}")
-    if not 1 <= overlap <= msg_len:
-        raise ValidationError(f"overlap must lie in [1, msg_len], got {overlap} of {msg_len}")
-    if n_pairs < 1:
-        raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
 
+    From _MIN_PART letters a text on, the plaintexts fill on worker threads
+    while this thread draws the keys and labels; the draws, and so the
+    traffic, do not depend on the number of threads.
+    """
+    _check_traffic(n_pairs, msg_len, overlap, fraction_right)
     rng = checked_rng(seed)
     c = lm.alphabet_size
     shift = msg_len - overlap
 
-    plain_a = lm.sample((n_pairs, msg_len), rng)
-    plain_b = lm.sample((n_pairs, msg_len), rng)
+    # The two texts fill at once, each on half the CPUs.
+    cpus = _cpus()
+    plain_a, jobs_a = lm._draw((n_pairs, msg_len), rng, max(1, cpus // 2))
+    plain_b, jobs_b = lm._draw((n_pairs, msg_len), rng, max(1, cpus // 2))
 
-    # One key stream per pair covering both messages' machine positions; a
-    # second, independent stream replaces B's aligned keys for wrong pairs.
-    key = rng.integers(0, c, size=(n_pairs, msg_len + shift), dtype=np.int16)
-    key_b = rng.integers(0, c, size=(n_pairs, msg_len), dtype=np.int16)
+    def keys():
+        # One key stream per pair covering both messages' machine positions; a
+        # second, independent stream replaces B's aligned keys for wrong pairs.
+        key = rng.integers(0, c, size=(n_pairs, msg_len + shift), dtype=np.int16)
+        key_b = rng.integers(0, c, size=(n_pairs, msg_len), dtype=np.int16)
+        n_right = round(n_pairs * fraction_right)
+        is_right = np.zeros(n_pairs, dtype=bool)
+        is_right[rng.permutation(n_pairs)[:n_right]] = True
+        return key, key_b, is_right
 
-    n_right = round(n_pairs * fraction_right)
-    is_right = np.zeros(n_pairs, dtype=bool)
-    is_right[rng.permutation(n_pairs)[:n_right]] = True
+    # The keys are drawn on this thread, so that their memory comes from its
+    # heap rather than from a worker's own.
+    if cpus > 1 and n_pairs * msg_len >= _MIN_PART:
+        (key, key_b, is_right), *_ = _in_threads([keys, *jobs_a, *jobs_b])
+    else:
+        for job in jobs_a + jobs_b:
+            job()
+        key, key_b, is_right = keys()
 
     np.copyto(key_b, key[:, shift:], where=is_right[:, None])
     # B's keys are settled, and freed, before A's are enciphered in place over `key`.
@@ -193,6 +242,21 @@ def generate_traffic(
         overlap=overlap,
         prior_log_odds=math.log(fraction_right / (1.0 - fraction_right)),
     )
+
+
+def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: float) -> None:
+    """Reject traffic parameters that generate_traffic cannot draw."""
+    if not 0 < fraction_right < 1:
+        raise ValidationError(f"fraction_right must lie strictly in (0, 1), got {fraction_right}")
+    if not 1 <= overlap <= msg_len:
+        raise ValidationError(f"overlap must lie in [1, msg_len], got {overlap} of {msg_len}")
+    if n_pairs < 1:
+        raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
+    if 2 * n_pairs * (2 * msg_len - overlap) > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"n_pairs {n_pairs} x (2 * msg_len {msg_len} - overlap {overlap}) int16 key "
+            "cells are too many to address"
+        )
 
 
 def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> np.ndarray:
@@ -338,6 +402,8 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     Deterministic for a given seed.
     """
     lm, n_pairs, overlap = config.language, config.n_pairs, config.overlap
+    msg_len = overlap if config.msg_len is None else config.msg_len
+    _check_traffic(n_pairs, msg_len, overlap, config.fraction_right)
     if not 0 < config.bin_width <= sys.float_info.max:
         raise ValidationError(f"bin_width must be a finite positive number, got {config.bin_width}")
     bin_width = float(config.bin_width)
@@ -345,12 +411,6 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"n_decodes must be >= 1, got {config.n_decodes}")
     if config.corpus_size < 0:
         raise ValidationError(f"corpus_size must be >= 0, got {config.corpus_size}")
-    msg_len = overlap if config.msg_len is None else config.msg_len
-    if 2 * n_pairs * (2 * msg_len - overlap) > np.iinfo(np.intp).max:
-        raise ValidationError(
-            f"n_pairs {n_pairs} x (2 * msg_len {msg_len} - overlap {overlap}) int16 key "
-            "cells are too many to address"
-        )
     master = checked_rng(config.seed)
 
     if config.urn == "from-corpus":

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repfit import simlab
 from repfit.cli import NormalizationPolicy, main
 from repfit.errors import NormalizationError
 
@@ -361,6 +362,29 @@ def test_simulate_rejects_nan_letter_probabilities(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--config", config)
     assert code == 3
     assert "letter_probs" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("overlap", 0),
+    ("n_pairs", 0),
+    ("msg_len", 7),
+    ("fraction_right", 1.0),
+    pytest.param("n_pairs", 2**62, id="n_pairs-2**62"),
+])
+def test_simulate_bad_traffic_exits_3_before_the_census(tmp_path, capsys, monkeypatch,
+                                                         field, value):
+    # The traffic parameters are checked before any corpus text is drawn or
+    # censused: a census here would raise, not exit 3.
+    def census(*args, **kwargs):
+        raise AssertionError("the corpus was censused")
+
+    monkeypatch.setattr(simlab, "compute_statistics", census)
+    doc = {"language": {"c": 26}, "corpus_size": 3_000_000, "n_pairs": 100,
+           "overlap": 10, "r_max": 8, "fraction_right": 0.5, "seed": 1}
+    config = write(tmp_path, "config.json", json.dumps({**doc, field: value}))
+    code, _, err = run(capsys, "simulate", "--config", config)
+    assert code == 3
+    assert field in err
 
 
 @pytest.mark.parametrize("command", ["score", "sample"])

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from unittest.mock import patch
 
@@ -82,7 +84,8 @@ def test_iid_sample_equals_rng_choice_on_a_twin_generator(probs, shape, chunk, s
 
 
 class _FixedDraws:
-    """Stands in for a generator: start states 0, then the given uniforms in order."""
+    """Stands in for a generator: start states 0, then the given uniforms in
+    order.  Tests that sample from it patch simlab._split with _unsplit."""
 
     def __init__(self, uniforms):
         self.uniforms = np.asarray(uniforms, dtype=float)
@@ -101,14 +104,20 @@ class _FixedDraws:
         return out
 
 
+def _unsplit(rng, sizes):
+    """Stands in for rng._split: every part draws from the one stand-in, in turn."""
+    return [rng] * len(sizes)
+
+
 @pytest.mark.parametrize("c", [4, 256])
-def test_iid_sample_ties_and_zero_probabilities_follow_rng_choice(c):
+def test_iid_sample_ties_and_zero_probabilities_follow_rng_choice(c, monkeypatch):
     # rng.choice returns cdf.searchsorted(u, side="right"): a uniform equal to
     # a cumulative sum goes right, and a zero-probability letter never shows.
     probs = np.zeros(c)
     probs[[0, 1, -1]] = [0.25, 0.25, 0.5]
     lm = LanguageModel(alphabet_size=c, letter_probs=probs)
     u = np.array([0.0, 0.25, 0.25 - 2**-54, 0.5, 0.5 - 2**-54, 0.75, 1.0 - 2**-53])
+    monkeypatch.setattr(simlab, "_split", _unsplit)
     got = lm.sample((u.size,), _FixedDraws(u))
     assert got.tolist() == probs.cumsum().searchsorted(u, side="right").tolist()
     assert got.tolist() == [0, 1, 0, c - 1, 1, c - 1, c - 1]
@@ -156,7 +165,7 @@ def test_markov_sample_matches_the_letter_by_letter_oracle(c, shape):
     assert np.array_equal(got, expected.reshape(shape))
 
 
-def test_markov_draw_past_a_row_summing_below_one_is_the_last_state():
+def test_markov_draw_past_a_row_summing_below_one_is_the_last_state(monkeypatch):
     # Each row sums to 1 - 3e-13, inside the validation tolerance, so a
     # uniform can land past the last cumulative sum.
     short = 1.0 - 3e-13
@@ -165,6 +174,7 @@ def test_markov_draw_past_a_row_summing_below_one_is_the_last_state():
     cum = np.cumsum(transition, axis=1)
     # The last two uniforms tie with a cumulative sum and go right.
     draws = [1.0 - 1e-14, 0.25, 0.65, 0.95, cum[2, 1], cum[2, 0]]
+    monkeypatch.setattr(simlab, "_split", _unsplit)
     text = lm.sample((7,), _FixedDraws(draws))
     assert text.tolist() == [0, 2, 0, 1, 2, 2, 1]
 
@@ -184,20 +194,32 @@ def test_traffic_bookkeeping():
     LanguageModel(alphabet_size=3, kind="markov-1",
                   transition=np.array([[0.6, 0.4, 0.0], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]])),
 ], ids=["skewed4", "uniform200", "uniform256", "markov3"])
-def test_traffic_equals_the_reference_draws(lm):
+def test_traffic_equals_the_reference_draws(lm, monkeypatch):
     # Ciphertexts are written over the plaintexts, in whole-batch blocks or
-    # in blocks of 1 or 7 rows.
+    # in blocks of 1 or 7 rows.  On 2 or 4 CPUs the texts fill on threads
+    # that interleave between most bytecodes, each iid text in 1 or 2 parts;
+    # every thread has ended on return.
     expected = traffic_oracle(lm, 300, 40, 25, 0.4, 2718)[2:]
-    for block_rows in (None, 1, 7):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            if block_rows is not None:
-                monkeypatch.setattr(simlab, "_SAMPLE_CHUNK", block_rows * 40)
-            traffic = generate_traffic(lm, n_pairs=300, msg_len=40, overlap=25,
-                                       fraction_right=0.4, seed=2718)
-        got = (traffic.cipher_a, traffic.cipher_b, traffic.is_right)
-        for array, reference in zip(got, expected):
-            assert np.array_equal(array, reference)
-        assert traffic.cipher_a.dtype == traffic.cipher_b.dtype == np.uint8
+    monkeypatch.setattr(simlab, "_MIN_PART", 1)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
+            for block_rows in (None, 1, 7):
+                with pytest.MonkeyPatch.context() as patch:
+                    if block_rows is not None:
+                        patch.setattr(simlab, "_SAMPLE_CHUNK", block_rows * 40)
+                    traffic = generate_traffic(lm, n_pairs=300, msg_len=40, overlap=25,
+                                               fraction_right=0.4, seed=2718)
+                assert threading.active_count() == threads
+                got = (traffic.cipher_a, traffic.cipher_b, traffic.is_right)
+                for array, reference in zip(got, expected):
+                    assert np.array_equal(array, reference), (cpus, block_rows)
+                assert traffic.cipher_a.dtype == traffic.cipher_b.dtype == np.uint8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("c", [4, 256])
@@ -487,6 +509,41 @@ def test_experiment_peaks_below_seven_bytes_per_cell():
     finally:
         tracemalloc.stop()
     assert peak / (20_000 * 50) < 7.0
+
+
+def test_threaded_traffic_adds_only_the_fill_temporaries(monkeypatch):
+    # While the caller draws the keys, each of the four fill jobs (two parts
+    # of each text) holds a chunk of float64 uniforms and of bool hits.
+    def peak():
+        tracemalloc.start()
+        try:
+            generate_traffic(SKEWED4, n_pairs=20_000, msg_len=50, overlap=50,
+                             fraction_right=0.5, seed=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(simlab, "_MIN_PART", 1)
+    monkeypatch.setattr(simlab, "_cpus", lambda: 1)
+    serial = peak()
+    monkeypatch.setattr(simlab, "_cpus", lambda: 4)
+    assert peak() <= serial + 4 * (9 * simlab._SAMPLE_CHUNK + 16_384)
+
+
+def test_chain_temporaries_are_columns():
+    # The next states are counted one cumulative-sum column at a time, so a
+    # draw holds a few columns of its text beside it, not rows x c sums.
+    transition = np.random.default_rng(2).random((26, 26))
+    transition /= transition.sum(axis=1, keepdims=True)
+    lm = LanguageModel(alphabet_size=26, kind="markov-1", transition=transition)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        lm.sample((20_000, 10), rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20_000 * 10 + 64 * 20_000
 
 
 def test_config_parsing_errors_name_the_field():
