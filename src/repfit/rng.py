@@ -24,10 +24,15 @@ def _split(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generat
 
     A float64 uniform takes one 64-bit output of the bit generator, so each
     part is a copy advanced to the part's start.  ``advance`` drops the
-    32-bit value that a bit generator such as PCG64 buffers for its next
-    32-bit draw; ``rng`` gets its own back.
+    32-bit value that PCG64 buffers for its next 32-bit draw; ``rng`` gets
+    its own back.  Bit generators whose ``advance`` counts other steps, or
+    which have none, are rejected.
     """
     bit = rng.bit_generator
+    if not isinstance(bit, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValidationError(
+            f"draws need a PCG64 or PCG64DXSM bit generator, got {type(bit).__name__}"
+        )
     parts, start = [], 0
     for size in sizes:
         part = copy.deepcopy(bit)

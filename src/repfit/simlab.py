@@ -40,8 +40,9 @@ __all__ = [
 ]
 
 
-# Uniforms drawn per rng.random call. The iid sampler passes over a chunk once
-# per cdf threshold, so a chunk's draws should stay in cache between passes.
+# Uniforms that a sampled text's fill jobs hold at once between them; each
+# of traffic's two texts holds half. The iid sampler passes over its draws
+# once per cdf threshold, so they should stay in cache between passes.
 _SAMPLE_CHUNK = 1 << 16
 
 
@@ -93,23 +94,24 @@ class LanguageModel:
         """Letter codes of the given shape (rows are independent texts).
 
         The iid path equals ``rng.choice(c, size=shape, p=letter_probs)`` as
-        ``uint8`` and leaves ``rng`` in the same state.  ``rng``'s bit
-        generator must have ``advance``, as default_rng's PCG64 does.
+        ``uint8`` and leaves ``rng`` in the same state.  ``rng`` must draw
+        from a PCG64 or PCG64DXSM bit generator, as default_rng's does.
         """
-        out, jobs = self._draw(shape, rng, _cpus())
+        out, jobs = self._draw(shape, rng, _cpus(), _SAMPLE_CHUNK)
         _in_threads(jobs)
         return out
 
     def _draw(self, shape: tuple[int, ...], rng: np.random.Generator,
-              cpus: int) -> tuple[np.ndarray, list]:
-        """An unfilled text of the given shape, and the jobs that fill it.
+              cpus: int, chunk: int) -> tuple[np.ndarray, list]:
+        """A text of the given shape, and the jobs that fill it.
 
         The draws whose count depends on the data (markov-1 start states)
         are made on ``rng`` here, and ``rng`` is moved past the text's
         uniforms, which the jobs draw from their own copies of it (see
-        rng._split).  The jobs may run in any order, at once, on any thread.
-        An iid text of n letters is cut into min(cpus, n // _MIN_PART) jobs,
-        at least one; a chain is one job.
+        rng._split).  The jobs may run in any order, at once, on any thread,
+        and together hold temporaries for at most ``chunk`` uniforms.  An
+        iid text of n letters is cut into min(cpus, n // _MIN_PART) jobs, at
+        least one; a chain is one job.
         """
         c = self.alphabet_size
         out = np.empty(shape, dtype=np.uint8)
@@ -123,50 +125,49 @@ class LanguageModel:
             parts = max(1, min(cpus, n // _MIN_PART))
             bounds = [n * p // parts for p in range(parts + 1)]
             gens = _split(rng, [hi - lo for lo, hi in zip(bounds, bounds[1:])])
-            return out, [partial(_fill_iid, codes[lo:hi], cdf, gen)
+            return out, [partial(_fill_iid, codes[lo:hi], cdf, gen, max(1, chunk // parts))
                          for lo, hi, gen in zip(bounds, bounds[1:], gens)]
         rows, cols = (1, shape[0]) if len(shape) == 1 else shape
         if cols == 0:
             return out, []
+        text = out.reshape(rows, cols)
+        # The next state is the count of the cumulative sums, bar the last,
+        # that are <= u: the first sum > u once the last is set to infinity.
+        # So a row summing to just under 1 yields c-1, never 0.
         cum = np.cumsum(self.transition, axis=1)
-        state = rng.integers(0, c, size=rows)
+        cum[:, -1] = np.inf
+        text[:, 0] = rng.integers(0, c, size=rows)
         (gen,) = _split(rng, [rows * (cols - 1)])
-        return out, [partial(_fill_chain, out.reshape(rows, cols), cum, state, gen)]
+        return out, [partial(_fill_chain, text, cum, gen, max(1, chunk // c))]
 
 
-def _fill_iid(codes: np.ndarray, cdf: np.ndarray, rng: np.random.Generator) -> None:
+def _fill_iid(codes: np.ndarray, cdf: np.ndarray, rng: np.random.Generator,
+              chunk: int) -> None:
     """Letters for ``codes`` from one uniform each: the count of ``cdf``
-    entries <= u, tallied one threshold at a time over _SAMPLE_CHUNK draws."""
-    u = np.empty(min(codes.size, _SAMPLE_CHUNK))
+    entries <= u, tallied one threshold at a time over ``chunk`` draws."""
+    u = np.empty(min(codes.size, chunk))
     hit = np.empty(u.size, dtype=bool)
-    for lo in range(0, codes.size, _SAMPLE_CHUNK):
-        chunk = codes[lo : lo + _SAMPLE_CHUNK]
-        draws = rng.random(out=u[: chunk.size])
-        np.greater_equal(draws, cdf[0], out=chunk)
+    for lo in range(0, codes.size, chunk):
+        part = codes[lo : lo + chunk]
+        draws = rng.random(out=u[: part.size])
+        np.greater_equal(draws, cdf[0], out=part)
         for k in range(1, cdf.size - 1):
-            np.greater_equal(draws, cdf[k], out=hit[: chunk.size])
-            chunk += hit[: chunk.size]
+            np.greater_equal(draws, cdf[k], out=hit[: part.size])
+            part += hit[: part.size]
 
 
-def _fill_chain(out: np.ndarray, cum: np.ndarray, state: np.ndarray,
-                rng: np.random.Generator) -> None:
-    """Each row of ``out`` a chain from its start ``state``, one column of
-    uniforms at a time.  The next state is the count of the cumulative sums
-    of the row, bar the last, that are <= u; they do not decrease, so this
-    is the first sum > u once the last is infinite, and a row summing to
-    just under 1 yields c-1, never 0.  The sums are gathered one column of
-    ``cum`` at a time, so every temporary is a column of ``out``."""
-    rows = len(state)
-    columns = np.ascontiguousarray(cum[:, :-1].T)
-    u, sums, hit = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
-    out[:, 0] = state
-    for j in range(1, out.shape[1]):
-        rng.random(out=u)
-        nxt = np.zeros(rows, dtype=np.intp)
-        for column in columns:
-            np.less_equal(np.take(column, state, out=sums), u, out=hit)
-            nxt += hit
-        out[:, j] = state = nxt
+def _fill_chain(text: np.ndarray, cum: np.ndarray, rng: np.random.Generator,
+                block: int) -> None:
+    """Each row of ``text`` a chain on from its first letter, one column of
+    uniforms at a time, drawn and stepped ``block`` rows at a time."""
+    rows = len(text)
+    u = np.empty((min(rows, block), 1))
+    blocks = [(slice(lo, lo + block), u[: min(block, rows - lo)]) for lo in range(0, rows, block)]
+    columns = text.T
+    for prev, column in zip(columns, columns[1:]):
+        for part, draws in blocks:
+            rng.random(out=draws[:, 0])
+            column[part] = (draws < cum[prev[part]]).argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,11 @@ def generate_traffic(
     c = lm.alphabet_size
     shift = msg_len - overlap
 
-    # The two texts fill at once, each on half the CPUs.
+    # The two texts fill at once, each on half the CPUs and with half the
+    # temporaries of one sampled text.
     cpus = _cpus()
-    plain_a, jobs_a = lm._draw((n_pairs, msg_len), rng, max(1, cpus // 2))
-    plain_b, jobs_b = lm._draw((n_pairs, msg_len), rng, max(1, cpus // 2))
+    plain_a, jobs_a = lm._draw((n_pairs, msg_len), rng, max(1, cpus // 2), _SAMPLE_CHUNK // 2)
+    plain_b, jobs_b = lm._draw((n_pairs, msg_len), rng, max(1, cpus // 2), _SAMPLE_CHUNK // 2)
 
     def keys():
         # One key stream per pair covering both messages' machine positions; a

@@ -511,39 +511,47 @@ def test_experiment_peaks_below_seven_bytes_per_cell():
     assert peak / (20_000 * 50) < 7.0
 
 
-def test_threaded_traffic_adds_only_the_fill_temporaries(monkeypatch):
-    # While the caller draws the keys, each of the four fill jobs (two parts
-    # of each text) holds a chunk of float64 uniforms and of bool hits.
-    def peak():
-        tracemalloc.start()
-        try:
-            generate_traffic(SKEWED4, n_pairs=20_000, msg_len=50, overlap=50,
-                             fraction_right=0.5, seed=8)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    monkeypatch.setattr(simlab, "_MIN_PART", 1)
-    monkeypatch.setattr(simlab, "_cpus", lambda: 1)
-    serial = peak()
-    monkeypatch.setattr(simlab, "_cpus", lambda: 4)
-    assert peak() <= serial + 4 * (9 * simlab._SAMPLE_CHUNK + 16_384)
-
-
-def test_chain_temporaries_are_columns():
-    # The next states are counted one cumulative-sum column at a time, so a
-    # draw holds a few columns of its text beside it, not rows x c sums.
-    transition = np.random.default_rng(2).random((26, 26))
-    transition /= transition.sum(axis=1, keepdims=True)
-    lm = LanguageModel(alphabet_size=26, kind="markov-1", transition=transition)
-    rng = np.random.default_rng(1)
+def test_threaded_experiment_peaks_below_seven_bytes_per_cell(monkeypatch):
+    # Just past the size where the texts fill on threads, their temporaries
+    # sit beside the key draws.
+    monkeypatch.setattr(simlab, "_cpus", lambda: 2)
+    assert 21_000 * 50 >= simlab._MIN_PART
+    config = ExperimentConfig(SKEWED4, corpus_size=20_000, n_pairs=21_000, overlap=50,
+                              fraction_right=0.5, seed=8)
     tracemalloc.start()
     try:
-        lm.sample((20_000, 10), rng)
+        calibration_experiment(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 20_000 * 10 + 64 * 20_000
+    assert peak / (21_000 * 50) < 7.0
+
+
+def _markov26():
+    transition = np.random.default_rng(2).random((26, 26))
+    transition /= transition.sum(axis=1, keepdims=True)
+    return LanguageModel(alphabet_size=26, kind="markov-1", transition=transition)
+
+
+@pytest.mark.parametrize("lm", [UNIFORM4, _markov26()], ids=["uniform4", "markov26"])
+def test_fill_jobs_hold_one_chunk_of_temporaries_between_them(lm, monkeypatch):
+    # However a text is cut, its jobs together hold float64 uniforms and
+    # bool hits, or a block of rows' c-wide sums and comparisons, for at
+    # most `chunk` uniforms: 9 bytes each and a few per row of a block, not
+    # a column of the text or rows x c sums.
+    monkeypatch.setattr(simlab, "_MIN_PART", 1)
+    chunk = simlab._SAMPLE_CHUNK // 2
+    for cpus in (1, 2, 4):
+        _, jobs = lm._draw((20_000, 50), np.random.default_rng(3), cpus, chunk)
+        peaks = []
+        for job in jobs:
+            tracemalloc.start()
+            try:
+                job()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert sum(peaks) <= 12 * chunk + 4_096 * len(jobs), (cpus, peaks)
 
 
 def test_config_parsing_errors_name_the_field():
