@@ -43,7 +43,7 @@ cards and the rest are no-repeat cards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
@@ -101,50 +101,43 @@ class CircularCorpus:
 class RepeatStatistics:
     """Apparent and actual repeat spectra of one corpus circle.
 
-    ``apparent`` holds M_1..M_r_max; ``actual`` holds N_1..N_{r_max-2}
-    (computing N_r needs apparent counts two orders higher).  Repeats longer
-    than r_max - 2 are assumed absent or negligible.  The counts must be
-    those of a census: N >= 0, M non-negative and non-increasing, and each
-    N_r = M_r - 2*M_{r+1} + M_{r+2}.  Errors name the artifact fields N, M
-    and Nr.
+    ``apparent`` holds M_1..M_r_max, so r_max is its length; ``actual``,
+    derived from it by actual_counts, holds N_1..N_{r_max-2} (computing N_r
+    needs apparent counts two orders higher).  Repeats longer than r_max - 2
+    are assumed absent or negligible.  The counts must be those of a census:
+    N >= 0, M non-negative and non-increasing with every N_r >= 0, and at
+    least as many cards as flanked repeats.  Errors name the artifact fields
+    N and M.
     """
 
     n_letters: int
     alphabet_size: int
-    r_max: int
     apparent: tuple[int, ...]
-    actual: tuple[int, ...]
+    actual: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.n_letters < 0:
             raise ValidationError(f"letter count N must be >= 0, got {self.n_letters}")
-        if len(self.apparent) != self.r_max:
-            raise ValidationError("apparent counts must cover r = 1..r_max")
-        if len(self.actual) != max(0, self.r_max - 2):
-            raise ValidationError("actual counts must cover r = 1..r_max-2")
         for r, (m, m_next) in enumerate(zip(self.apparent, self.apparent[1:]), start=1):
             if m < m_next:
                 raise ValidationError(
-                    f"apparent counts must be non-increasing, but M_{r}={m} < M_{r + 1}={m_next}"
+                    f"apparent counts M must be non-increasing, but M_{r}={m} < M_{r + 1}={m_next}"
                 )
         if self.apparent and self.apparent[-1] < 0:  # the least, as M is non-increasing
             raise ValidationError(
                 f"apparent counts M must be >= 0, but M_{self.r_max}={self.apparent[-1]}"
             )
-        if any(n < 0 for n in self.actual):
-            raise ValidationError("actual counts Nr must be non-negative")
-        if self.total_cards < sum(self.actual):
+        actual = tuple(actual_counts(self.apparent)) if self.r_max >= 3 else ()
+        object.__setattr__(self, "actual", actual)
+        if self.total_cards < sum(actual):
             raise ValidationError(
-                "inconsistent statistics: fewer cards than flanked repeats "
-                f"({self.total_cards} < {sum(self.actual)})"
+                "inconsistent statistics: N and M give fewer cards than flanked repeats "
+                f"({self.total_cards} < {sum(actual)})"
             )
-        m = self.apparent
-        for r, n_r in enumerate(self.actual, start=1):
-            if n_r != m[r - 1] - 2 * m[r] + m[r + 1]:
-                raise ValidationError(
-                    f"actual counts Nr must be M_r - 2*M_(r+1) + M_(r+2), but N_{r}={n_r} "
-                    f"and M gives {m[r - 1] - 2 * m[r] + m[r + 1]}"
-                )
+
+    @property
+    def r_max(self) -> int:
+        return len(self.apparent)
 
     @property
     def total_overlap(self) -> int:
@@ -320,7 +313,7 @@ def actual_counts(apparent: Sequence[int]) -> list[int]:
 
     A negative result means the inputs violate the identity's premises
     (miscounted apparent repeats, or repeats beyond the computed orders
-    being mishandled); it is reported rather than clamped.
+    being mishandled); it is reported, naming M, rather than clamped.
     """
     if len(apparent) < 3:
         raise ValidationError("need apparent counts for at least three consecutive orders")
@@ -329,8 +322,7 @@ def actual_counts(apparent: Sequence[int]) -> list[int]:
         n_r = apparent[r] - 2 * apparent[r + 1] + apparent[r + 2]
         if n_r < 0:
             raise ValidationError(
-                f"actual count N_{r + 1} = {n_r} is negative; "
-                "apparent counts are inconsistent"
+                f"apparent counts M are inconsistent: they give N_{r + 1} = {n_r} < 0"
             )
         out.append(n_r)
     return out
@@ -338,15 +330,8 @@ def actual_counts(apparent: Sequence[int]) -> list[int]:
 
 def compute_statistics(corpus: CircularCorpus, r_max: int = 9) -> RepeatStatistics:
     """Apparent and actual spectra of a corpus in one pass."""
-    apparent = apparent_counts(corpus, r_max)
-    actual = actual_counts(apparent) if r_max >= 3 else []
-    return RepeatStatistics(
-        n_letters=corpus.n_letters,
-        alphabet_size=corpus.alphabet_size,
-        r_max=r_max,
-        apparent=tuple(apparent),
-        actual=tuple(actual),
-    )
+    return RepeatStatistics(corpus.n_letters, corpus.alphabet_size,
+                            tuple(apparent_counts(corpus, r_max)))
 
 
 def card_counts(stats: RepeatStatistics) -> tuple[int, dict[int, int]]:
@@ -380,14 +365,13 @@ def stats_from_json(text: str | bytes) -> RepeatStatistics:
     read_fields("statistics artifact", doc,
                 {"N": INT64, "c": INT64, "r_max": INT64, "M": INT64_ARRAY, "Nr": INT64_ARRAY},
                 {"total_cards": INT64, "generated_at": STRING})
-    stats = RepeatStatistics(
-        n_letters=doc["N"],
-        alphabet_size=doc["c"],
-        r_max=doc["r_max"],
-        apparent=tuple(doc["M"]),
-        actual=tuple(doc["Nr"]),
-    )
-    if doc.get("total_cards", stats.total_cards) != stats.total_cards:
-        raise ValidationError(f"statistics artifact field 'total_cards' is "
-                              f"{doc['total_cards']}, but N and Nr give {stats.total_cards}")
+    stats = RepeatStatistics(doc["N"], doc["c"], tuple(doc["M"]))
+    for name, rule, value in (
+        ("r_max", "r_max must be the length of M", stats.r_max),
+        ("Nr", "actual counts Nr must be M_r - 2*M_(r+1) + M_(r+2)", list(stats.actual)),
+        ("total_cards", "total_cards must be N(N-1)/2 - sum r*N_r", stats.total_cards),
+    ):
+        if doc.get(name, value) != value:
+            raise ValidationError(f"statistics artifact field {name!r} is {doc[name]}, "
+                                  f"but {rule}: {value}")
     return stats

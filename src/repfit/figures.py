@@ -86,9 +86,6 @@ class RunSpectrum:
     def items(self):
         return self.counts.items()
 
-    def __bool__(self) -> bool:
-        return bool(self.counts)
-
     @property
     def cells_with_terminators(self) -> int:
         """Sum of (r + 1) * k_r: cells each run occupies once its terminating

@@ -57,6 +57,13 @@ def _unit_scale(log_base: str) -> float:
         ) from None
 
 
+def _mu(proportion: float, r: int, c: int, log_ca: float, scale: float) -> float:
+    """mu_r in the unit of ``scale``, for a card proportion alpha_r and
+    log_ca = log(c*A / (c-1))."""
+    return scale * (math.log(proportion) + (r + 1) * math.log(c) - math.log(c - 1)
+                    - (r + 1) * log_ca)
+
+
 @dataclass(frozen=True)
 class ScoreWeights:
     """Evidence weights of one urn, in a chosen log unit.
@@ -84,14 +91,8 @@ class ScoreWeights:
                 f"no evidence weight for {r}-gramme repeats: the urn has no such card "
                 "and no smoothing floor is configured"
             )
-        c = self.alphabet_size
         scale = _unit_scale(self.log_base)
-        nu_nat = self.nu / scale
-        mu_nat = (
-            math.log(self.floor) + (r + 1) * math.log(c) - math.log(c - 1)
-            + (r + 1) * nu_nat
-        )
-        return mu_nat * scale
+        return _mu(self.floor, r, self.alphabet_size, -(self.nu / scale), scale)
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,7 @@ def weights(urn: UrnModel, log_base: str = "nat", floor: float | None = None) ->
     cached = urn.score_weights.get((log_base, floor))
     if cached is None:
         log_ca = math.log(c * urn.no_repeat / (c - 1))
-        mu = {
-            r: scale * (math.log(a) + (r + 1) * math.log(c) - math.log(c - 1) - (r + 1) * log_ca)
-            for r, a in urn.alpha.items()
-        }
+        mu = {r: _mu(a, r, c, log_ca, scale) for r, a in urn.alpha.items()}
         correction = math.log(urn.no_repeat * (1.0 + urn.mean_extra_cells))
         cached = urn.score_weights[log_base, floor] = ScoreWeights(
             alphabet_size=c,

@@ -196,9 +196,10 @@ def generate_traffic(
     label order is shuffled.  The recorded prior odds are
     fraction_right / (1 - fraction_right).
 
-    From _MIN_PART letters a text on, the plaintexts fill on worker threads
-    while this thread draws the keys and labels; the draws, and so the
-    traffic, do not depend on the number of threads.
+    The plaintexts fill on worker threads while this thread draws the keys
+    and labels; an iid text is cut into parts of at least _MIN_PART letters,
+    one thread each.  The draws, and so the traffic, do not depend on the
+    number of threads.
     """
     _check_traffic(n_pairs, msg_len, overlap, fraction_right)
     rng = checked_rng(seed)
@@ -207,9 +208,9 @@ def generate_traffic(
 
     # The two texts fill at once, each on half the CPUs and with half the
     # temporaries of one sampled text.
-    cpus = _cpus()
-    plain_a, jobs_a = lm._draw((n_pairs, msg_len), rng, max(1, cpus // 2), _SAMPLE_CHUNK // 2)
-    plain_b, jobs_b = lm._draw((n_pairs, msg_len), rng, max(1, cpus // 2), _SAMPLE_CHUNK // 2)
+    half = max(1, _cpus() // 2)
+    plain_a, jobs_a = lm._draw((n_pairs, msg_len), rng, half, _SAMPLE_CHUNK // 2)
+    plain_b, jobs_b = lm._draw((n_pairs, msg_len), rng, half, _SAMPLE_CHUNK // 2)
 
     def keys():
         # One key stream per pair covering both messages' machine positions; a
@@ -223,12 +224,7 @@ def generate_traffic(
 
     # The keys are drawn on this thread, so that their memory comes from its
     # heap rather than from a worker's own.
-    if cpus > 1 and n_pairs * msg_len >= _MIN_PART:
-        (key, key_b, is_right), *_ = _in_threads([keys, *jobs_a, *jobs_b])
-    else:
-        for job in jobs_a + jobs_b:
-            job()
-        key, key_b, is_right = keys()
+    (key, key_b, is_right), *_ = _in_threads([keys, *jobs_a, *jobs_b])
 
     np.copyto(key_b, key[:, shift:], where=is_right[:, None])
     # B's keys are settled, and freed, before A's are enciphered in place over `key`.

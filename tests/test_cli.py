@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -432,6 +433,8 @@ def test_malformed_stats_artifact_exits_3_naming_the_field(tmp_path, capsys, fie
     ({"N": -5, "Nr": [1, 0], "total_cards": 14}, "letter count N must be >= 0"),
     ({"Nr": [1, 0], "total_cards": 9}, "actual counts Nr must be"),
     ({"M": [-1, -2, -3, -4], "Nr": [0, 0], "total_cards": 10}, "apparent counts M must be >= 0"),
+    ({"r_max": 5}, "field 'r_max'"),
+    ({"M": [10, 9, 0, 0], "Nr": [-8, 9], "total_cards": 0}, "apparent counts M"),
 ])
 def test_inconsistent_stats_artifact_exits_3_naming_the_field(tmp_path, capsys, fields, message):
     # The base document is the census of the circle ABCAB.
@@ -487,6 +490,52 @@ def test_artifacts_are_idempotent_with_reproducible(tmp_path, capsys):
     run(capsys, "--reproducible", "stats", corpus, "--rmax", "4", "--out", str(out2))
     assert out1.read_text() == out2.read_text()
     assert "generated_at" not in out1.read_text()
+
+
+# sha256 of the --reproducible artifacts of _pinned_corpus().  They hold
+# integer counts, IEEE divisions and PCG64 draws only, so they do not
+# depend on numpy's SIMD exp and log.
+PINNED_SHA256 = {
+    "stats9.json":
+        "9d42b61b3e4ed36ae59e45b3209eca48a6e5079e09467eb5fad2a0b636072080",
+    "stats14.json":
+        "40e2623e287b6b9e866b89d41701339d6cbfdf079ff114651e084150114ec641",
+    "urn.json":
+        "055a3a7705dd612f88b6d4df7e793bf3d826f3924f3a5293a2ff7191206e7291",
+    "hatted.json":
+        "e4f3cff9288a4a6fb877fc775681255b7490e475d8ef5d24098cd54951cf7c7b",
+    "sample.json":
+        "201ae1f2f14cc855497416a3f0e52a346b80c54bed672058f4cd3821fc14fadb",
+}
+
+
+def _pinned_corpus() -> str:
+    """600 words drawn by a fixed linear congruential generator."""
+    words = ("THE", "OF", "AND", "TO", "IN", "THAT", "IS", "WAS", "HE", "FOR", "IT", "WITH",
+             "AS", "HIS", "ON", "BE", "AT", "BY", "NOT", "WEATHER", "REPORT", "NOTHING")
+    state, text = 2026, []
+    for _ in range(600):
+        state = (state * 1103515245 + 12345) % 2**31
+        text.append(words[(state >> 16) % len(words)])
+    return " ".join(text)
+
+
+def test_reproducible_artifacts_keep_their_bytes(tmp_path, capsys):
+    corpus = write(tmp_path, "corpus.txt", _pinned_corpus())
+    commands = {
+        "stats9.json": ["stats", corpus, "--rmax", "9"],
+        "stats14.json": ["stats", corpus, "--rmax", "14"],  # two key words at c = 26
+        "urn.json": ["urn", "--from-stats", str(tmp_path / "stats9.json")],
+        "hatted.json": ["urn", "--hatted"],
+        "sample.json": ["sample", "--urn", str(tmp_path / "urn.json"),
+                        "--overlap", "60", "--count", "40", "--seed", "11"],
+    }
+    digests = {}
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert run(capsys, "--reproducible", *argv, "--out", str(out))[0] == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_SHA256
 
 
 def test_artifact_to_stdout_without_out_flag(tmp_path, capsys):

@@ -129,15 +129,14 @@ def test_actual_counts_inverts_the_summation(n_values):
 
 def test_statistics_reject_non_monotonic_apparent():
     with pytest.raises(ValidationError, match="non-increasing"):
-        RepeatStatistics(n_letters=10, alphabet_size=4, r_max=3,
-                         apparent=(1, 2, 0), actual=(0,))
+        RepeatStatistics(n_letters=10, alphabet_size=4, apparent=(1, 2, 0))
 
 
 def test_statistics_reject_card_deficit():
-    # N(N-1)/2 = 10 but the claimed repeats would need every card and more.
+    # N(N-1)/2 = 10, and M gives N_2 = 5: the five 2-runs take all ten
+    # cells, which leaves 0 cards for 5 flanked repeats.
     with pytest.raises(ValidationError, match="fewer cards"):
-        RepeatStatistics(n_letters=5, alphabet_size=4, r_max=4,
-                         apparent=(10, 7, 3, 0), actual=(4, 3))
+        RepeatStatistics(n_letters=5, alphabet_size=4, apparent=(10, 5, 0, 0))
 
 
 def near_periodic_circle(rng: random.Random, n: int, c: int) -> list[int]:
@@ -334,8 +333,7 @@ def test_card_counts_abcab():
 
 
 def test_card_counts_no_repeats():
-    stats = RepeatStatistics(n_letters=100, alphabet_size=26, r_max=5,
-                             apparent=(0, 0, 0, 0, 0), actual=(0, 0, 0))
+    stats = RepeatStatistics(n_letters=100, alphabet_size=26, apparent=(0, 0, 0, 0, 0))
     no_repeat, repeats = card_counts(stats)
     assert no_repeat == 4950
     assert repeats == {}
@@ -345,8 +343,7 @@ def test_card_counts_degenerate_zero_total():
     # A card total of zero cannot be represented at all: the statistics
     # type itself rejects it as a card deficit.
     with pytest.raises(ValidationError):
-        RepeatStatistics(n_letters=5, alphabet_size=4, r_max=4,
-                         apparent=(13, 6, 3, 0), actual=(4, 3))
+        RepeatStatistics(n_letters=5, alphabet_size=4, apparent=(10, 5, 0, 0))
 
 
 def test_draws_needed_agrees_with_linear_figures():

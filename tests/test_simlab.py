@@ -512,8 +512,8 @@ def test_experiment_peaks_below_seven_bytes_per_cell():
 
 
 def test_threaded_experiment_peaks_below_seven_bytes_per_cell(monkeypatch):
-    # Just past the size where the texts fill on threads, their temporaries
-    # sit beside the key draws.
+    # Just past the size where an iid text fills in parts, the texts'
+    # temporaries sit beside the key draws.
     monkeypatch.setattr(simlab, "_cpus", lambda: 2)
     assert 21_000 * 50 >= simlab._MIN_PART
     config = ExperimentConfig(SKEWED4, corpus_size=20_000, n_pairs=21_000, overlap=50,

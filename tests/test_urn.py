@@ -56,8 +56,7 @@ def test_urn_from_stats_without_repeats():
 
 
 def test_urn_from_stats_rejects_zero_cards():
-    stats = RepeatStatistics(n_letters=1, alphabet_size=26, r_max=1,
-                             apparent=(0,), actual=())
+    stats = RepeatStatistics(n_letters=1, alphabet_size=26, apparent=(0,))
     assert stats.total_cards == 0
     with pytest.raises(ModelError, match="degenerate"):
         urn_from_stats(stats)
@@ -66,8 +65,7 @@ def test_urn_from_stats_rejects_zero_cards():
 def test_urn_from_stats_rejects_zero_no_repeat_cards():
     # All five cards are repeat cards: the drawing process could never
     # terminate a run.
-    stats = RepeatStatistics(n_letters=5, alphabet_size=26, r_max=3,
-                             apparent=(5, 0, 0), actual=(5,))
+    stats = RepeatStatistics(n_letters=5, alphabet_size=26, apparent=(5, 0, 0))
     with pytest.raises((ModelError, ValidationError)):
         urn_from_stats(stats)
 
