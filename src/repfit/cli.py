@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import os
 import string
 import sys
@@ -25,7 +26,7 @@ from . import simlab
 from .artifacts import dump, read_object
 from .corpus import build_corpus, compute_statistics, stats_from_json, stats_to_json
 from .errors import ModelError, NormalizationError, ValidationError
-from .figures import figure_from_comparison, parse_figure
+from .figures import RepetitionFigure, figure_from_comparison, parse_figure
 from .scoring import odds_of_fit, score_to_json
 from .urn import hatted_urn, sample_figures, urn_from_json, urn_from_stats, urn_to_json
 
@@ -215,8 +216,25 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _check_sample_fits_in_memory(overlap: int, count: int) -> None:
+    """Reject a count whose figures alone would outgrow physical memory:
+    each holds up to ``overlap`` cells in a str, one figure object and a
+    list slot."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf here: leave it to MemoryError
+        return
+    per_figure = sys.getsizeof("") + overlap + sys.getsizeof(RepetitionFigure("")) + 8
+    if count * per_figure > memory:
+        raise ValidationError(
+            f"--overlap {overlap} x --count {count} figures need {count * per_figure} bytes, "
+            f"more than the {memory} bytes of memory this machine has"
+        )
+
+
 def _cmd_sample(args) -> int:
     urn = urn_from_json(Path(args.urn).read_bytes())
+    _check_sample_fits_in_memory(args.overlap, args.count)
     try:
         figures, scrapped = sample_figures(
             urn,
@@ -321,10 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls: each returns a new namespace.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

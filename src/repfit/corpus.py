@@ -105,9 +105,9 @@ class RepeatStatistics:
     derived from it by actual_counts, holds N_1..N_{r_max-2} (computing N_r
     needs apparent counts two orders higher).  Repeats longer than r_max - 2
     are assumed absent or negligible.  The counts must be those of a census:
-    N >= 0, M non-negative and non-increasing with every N_r >= 0, and at
-    least as many cards as flanked repeats.  Errors name the artifact fields
-    N and M.
+    N >= 0, M non-negative and non-increasing with every N_r >= 0, M_1 at
+    most the N(N-1)/2 letter pairs, and at least as many cards as flanked
+    repeats.  Errors name the artifact fields N and M.
     """
 
     n_letters: int
@@ -126,6 +126,11 @@ class RepeatStatistics:
         if self.apparent and self.apparent[-1] < 0:  # the least, as M is non-increasing
             raise ValidationError(
                 f"apparent counts M must be >= 0, but M_{self.r_max}={self.apparent[-1]}"
+            )
+        if self.apparent and self.apparent[0] > self.total_overlap:  # the greatest M
+            raise ValidationError(
+                f"apparent counts M must not exceed the N(N-1)/2 = {self.total_overlap} "
+                f"letter pairs of the circle, but M_1={self.apparent[0]}"
             )
         actual = tuple(actual_counts(self.apparent)) if self.r_max >= 3 else ()
         object.__setattr__(self, "actual", actual)

@@ -32,12 +32,14 @@ __all__ = [
 X_CELL = "X"
 O_CELL = "O"
 _BAD_CELL = re.compile("[^XO]")
-_X_RUN = re.compile("X+")
+# Every byte but X to a space: bytes.split() then leaves the X runs of UTF-8
+# cells, since no byte of a non-ASCII code point is 0x58.
+_X_ONLY = bytes(b if b == ord(X_CELL) else 0x20 for b in range(256))
 # Equality bytes (0 or 1) of a numpy bool array to O/X cell bytes.
 _CELL_OF_EQUAL = bytes.maketrans(b"\x00\x01", b"OX")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepetitionFigure:
     """An X/O pattern over the aligned positions of one comparison.
 
@@ -99,8 +101,8 @@ def parse_figure(text: str) -> RepetitionFigure:
     Rejects any other character, naming the first offending position, exactly
     as a character-by-character scan would.
     """
-    bad = _BAD_CELL.search(text)
-    if bad is not None:
+    if text.count(X_CELL) + text.count(O_CELL) != len(text):
+        bad = _BAD_CELL.search(text)
         raise FigureParseError(
             f"invalid figure character {bad.group()!r} at position {bad.start()} "
             "(expected X or O)",
@@ -112,9 +114,9 @@ def parse_figure(text: str) -> RepetitionFigure:
 def run_spectrum(figure: RepetitionFigure) -> RunSpectrum:
     """Count the figure's maximal X-runs by exact length, keyed in order of
     first appearance, as a left-to-right scan would."""
+    runs = figure.cells.encode("utf-8", "surrogatepass").translate(_X_ONLY).split()
     counts: dict[int, int] = {}
-    for run in _X_RUN.findall(figure.cells):
-        r = len(run)
+    for r in map(len, runs):
         counts[r] = counts.get(r, 0) + 1
     return RunSpectrum._of_valid(counts)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repfit.cli
 from repfit import simlab
 from repfit.cli import NormalizationPolicy, main
 from repfit.errors import NormalizationError
@@ -461,6 +462,38 @@ def test_oversized_flags_exit_3_naming_the_flag(tmp_path, capsys, argv, flag):
     code, out, err = run(capsys, *[urn if arg == "{}" else arg for arg in argv])
     assert code == 3
     assert flag in err and out == ""
+
+
+def test_sample_count_beyond_memory_exits_3_before_drawing(tmp_path, capsys, monkeypatch):
+    # 2**40 figures of 5 cells pass the intp bound on cells but not memory.
+    def sampler(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(repfit.cli, "sample_figures", sampler)
+    urn = write(tmp_path, "urn.json", json.dumps({"c": 4, "alpha": {"1": 0.1}, "A": 0.9}))
+    code, out, err = run(capsys, "sample", "--urn", urn, "--overlap", "5",
+                         "--count", str(2**40))
+    assert code == 3
+    assert "--count" in err and out == ""
+
+
+def test_stats_with_more_pairs_than_the_circle_has_exit_3_naming_m(tmp_path, capsys):
+    # M_1 = 100 equal-letter pairs among the N(N-1)/2 = 10 pairs of 5 letters.
+    doc = {"N": 5, "c": 26, "r_max": 4, "M": [100, 100, 100, 100], "Nr": [0, 0]}
+    stats = write(tmp_path, "stats.json", json.dumps(doc))
+    code, out, err = run(capsys, "urn", "--from-stats", stats)
+    assert code == 3
+    assert "apparent counts M" in err and "M_1=100" in err and out == ""
+
+
+def test_successive_main_calls_share_no_state(tmp_path, capsys):
+    corpus = write(tmp_path, "corpus.txt", "ABCAB")
+    pinned, stamped = tmp_path / "pinned.json", tmp_path / "stamped.json"
+    assert run(capsys, "--reproducible", "stats", corpus, "--rmax", "4",
+               "--out", str(pinned))[0] == 0
+    assert run(capsys, "stats", corpus, "--rmax", "4", "--out", str(stamped))[0] == 0
+    assert "generated_at" not in json.loads(pinned.read_text())
+    assert "generated_at" in json.loads(stamped.read_text())
 
 
 def test_hatted_urn_of_the_largest_alphabet_size(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -169,6 +171,34 @@ def test_run_spectrum_equals_the_groupby_oracle_in_key_order(text):
     assert list(spectrum.items()) == list(groupby_spectrum(text).items())
 
 
+# st.text() never draws lone surrogates, so they are fixed cases here, next
+# to non-ASCII letters whose UTF-8 bytes are all >= 0x80.
+NON_ASCII_CELLS = [
+    "XX\ud800X\udfffXXX",
+    "\udc58X\ud858XX",
+    "X\u00d7XXX\u0158\u5858X\U00010058XX",
+    "\ud83d\ude00XX\U0001f600X",
+    "\u00d8\u0a58\ud800",
+]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_CELLS)
+def test_run_spectrum_of_non_ascii_and_surrogate_cells(text):
+    spectrum = run_spectrum(RepetitionFigure(text))
+    assert list(spectrum.items()) == list(groupby_spectrum(text).items())
+    assert list(spectrum.items()) == list(scan_run_spectrum(text).items())
+
+
+@pytest.mark.parametrize("text", NON_ASCII_CELLS + ["XO\ud800", "\udfffXO", "XX\u00d7"])
+def test_parse_names_the_first_non_ascii_or_surrogate_cell(text):
+    with pytest.raises(FigureParseError) as exc:
+        parse_oracle(text)
+    with pytest.raises(FigureParseError) as got:
+        parse_figure(text)
+    assert got.value.position == exc.value.position
+    assert str(got.value) == str(exc.value)
+
+
 @given(st.text(alphabet="XOxo 0\n\u00d7", max_size=30) | st.text(max_size=30))
 def test_parse_equals_the_per_character_oracle(text):
     try:
@@ -207,3 +237,17 @@ def test_figures_are_immutable():
     figure = parse_figure("XO")
     with pytest.raises(AttributeError):
         figure.cells = "OO"
+
+
+def test_slotted_figures_replace_pickle_compare_and_hash():
+    figure = parse_figure("XXOX")
+    assert not hasattr(figure, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        figure.cells = "OO"
+    assert dataclasses.replace(figure, cells="OX") == RepetitionFigure("OX")
+    assert dataclasses.replace(figure) == figure
+    clone = pickle.loads(pickle.dumps(figure))
+    assert clone == figure and clone is not figure and clone.cells == "XXOX"
+    assert hash(clone) == hash(figure) == hash(RepetitionFigure("XXOX"))
+    assert figure != RepetitionFigure("XXOO")
+    assert len({figure, clone, parse_figure("XXOX"), parse_figure("O")}) == 2

@@ -1,15 +1,19 @@
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repfit.corpus import build_corpus, compute_statistics
 from repfit.errors import ModelError, ValidationError
-from repfit.figures import RunSpectrum, parse_figure
+from repfit.figures import RunSpectrum, figure_from_comparison, parse_figure
 from repfit.scoring import (
+    FitScore,
     ScoreWeights,
     odds_of_fit,
     right_relevant_proportion,
@@ -17,7 +21,13 @@ from repfit.scoring import (
     weights,
     wrong_relevant_proportion,
 )
-from repfit.urn import UrnModel, exact_completion_probability, hatted_urn, urn_from_stats
+from repfit.urn import (
+    UrnModel,
+    exact_completion_probability,
+    hatted_urn,
+    sample_figures,
+    urn_from_stats,
+)
 
 from oracles import (
     completing_figures,
@@ -331,6 +341,61 @@ def test_odds_are_bit_equal_to_weights_recomputed_per_call(seed, c, unit, floor,
         got = odds_of_fit(urn, figure=figure, prior_log_odds=prior, log_base=unit, floor=floor)
         assert got == want
         assert got.log_odds == want.log_odds and got.posterior == want.posterior
+
+
+def _bits(score: FitScore) -> list:
+    return [value.hex() if isinstance(value, float) else value
+            for value in dataclasses.astuple(score)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    c=st.sampled_from([2, 4, 26]),
+    unit=st.sampled_from(["nat", "db"]),
+    floor=st.sampled_from([None, 1e-9, 1e-3, 0.5]),
+    prior=st.floats(min_value=-20, max_value=20),
+    overlap=st.integers(min_value=1, max_value=1000),
+    source=st.sampled_from(["comparison", "sampler"]),
+)
+def test_odds_of_long_figures_equal_the_weights_oracle_field_for_field(
+    seed, c, unit, floor, prior, overlap, source
+):
+    urn = random_urn(random.Random(seed), c=c)
+    mu, nu, correction = weights_oracle(urn, unit)
+    expected = ScoreWeights(alphabet_size=c, log_base=unit, mu=mu, nu=nu,
+                            correction=correction, floor=floor)
+    if source == "sampler":
+        figures = sample_figures(urn, overlap=overlap, count=3, seed=seed)[0]
+    else:
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, c, size=overlap + 7), rng.integers(0, c, size=overlap)
+        # Each shift in 0..7 aligns all of b.
+        figures = [figure_from_comparison(a, b, shift) for shift in (0, 3, 7)]
+    for figure in figures:
+        spectrum = RunSpectrum(scan_run_spectrum(figure.cells))
+        try:
+            want = score_with_weights_oracle(expected, spectrum, figure.length, prior)
+        except ModelError:
+            with pytest.raises(ModelError):
+                odds_of_fit(urn, figure=figure, prior_log_odds=prior, log_base=unit, floor=floor)
+            continue
+        got = odds_of_fit(urn, figure=figure, prior_log_odds=prior, log_base=unit, floor=floor)
+        assert _bits(got) == _bits(want)
+
+
+def test_slotted_fit_scores_replace_pickle_compare_and_hash():
+    score = odds_of_fit(hatted_urn(4), figure=parse_figure("XXOXO"), prior_log_odds=0.25)
+    assert not hasattr(score, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        score.log_odds = 1.0
+    moved = dataclasses.replace(score, log_odds=2.0)
+    assert moved.log_odds == 2.0 and moved.posterior == score.posterior and moved != score
+    assert dataclasses.replace(score) == score
+    clone = pickle.loads(pickle.dumps(score))
+    assert clone == score and clone is not score and _bits(clone) == _bits(score)
+    assert hash(clone) == hash(score)
+    assert len({score, clone, moved}) == 2
 
 
 def test_weights_checks_its_arguments_on_every_call():
