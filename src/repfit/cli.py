@@ -216,20 +216,46 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory on this machine, or None where sysconf
+    cannot tell; a size check then leaves it to MemoryError."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _check_sample_fits_in_memory(overlap: int, count: int) -> None:
     """Reject a count whose figures alone would outgrow physical memory:
     each holds up to ``overlap`` cells in a str, one figure object and a
     list slot."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf here: leave it to MemoryError
-        return
+    memory = _physical_memory()
     per_figure = sys.getsizeof("") + overlap + sys.getsizeof(RepetitionFigure("")) + 8
-    if count * per_figure > memory:
+    if memory is not None and count * per_figure > memory:
         raise ValidationError(
             f"--overlap {overlap} x --count {count} figures need {count * per_figure} bytes, "
             f"more than the {memory} bytes of memory this machine has"
         )
+
+
+def _check_simulate_fits_in_memory(config: simlab.ExperimentConfig) -> None:
+    """Reject an experiment whose census or traffic alone would outgrow
+    physical memory: the census takes about 8.5 bytes a corpus letter, and
+    the traffic under 7 bytes a message cell, beside a byte a corpus letter."""
+    memory = _physical_memory()
+    letters = config.corpus_size if config.urn == "from-corpus" else 0
+    length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
+    cells = config.n_pairs * length[1]
+    needs = {
+        f"corpus_size {letters} letters": 17 * letters // 2,
+        f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells": letters + 7 * cells,
+    }
+    for what, need in needs.items():
+        if memory is not None and need > memory:
+            raise ValidationError(
+                f"{what} need about {need} bytes, more than the {memory} bytes of memory "
+                "this machine has"
+            )
 
 
 def _cmd_sample(args) -> int:
@@ -264,7 +290,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_simulate(args) -> int:
     doc = read_object(Path(args.config).read_bytes(), "experiment config")
-    report = simlab.calibration_experiment(simlab.ExperimentConfig.from_dict(doc))
+    config = simlab.ExperimentConfig.from_dict(doc)
+    _check_simulate_fits_in_memory(config)
+    report = simlab.calibration_experiment(config)
     _write_artifact(args.out, report.to_json())
     if args.csv:
         _write_artifact(args.csv, "\n".join(report.csv_rows()) + "\n")

@@ -3,6 +3,7 @@
 import copy
 import os
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -17,6 +18,16 @@ def checked_rng(seed: int | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _advanceable(rng: np.random.Generator) -> np.random.BitGenerator:
+    """``rng``'s bit generator, if its ``advance`` counts 64-bit outputs."""
+    bit = rng.bit_generator
+    if not isinstance(bit, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValidationError(
+            f"draws need a PCG64 or PCG64DXSM bit generator, got {type(bit).__name__}"
+        )
+    return bit
+
+
 def _split(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generator]:
     """One generator per size, each drawing the float64 uniforms that
     ``rng.random`` would draw for its part of ``sum(sizes)`` laid end to end;
@@ -28,11 +39,7 @@ def _split(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generat
     its own back.  Bit generators whose ``advance`` counts other steps, or
     which have none, are rejected.
     """
-    bit = rng.bit_generator
-    if not isinstance(bit, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise ValidationError(
-            f"draws need a PCG64 or PCG64DXSM bit generator, got {type(bit).__name__}"
-        )
+    bit = _advanceable(rng)
     parts, start = [], 0
     for size in sizes:
         part = copy.deepcopy(bit)
@@ -45,6 +52,55 @@ def _split(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generat
     return parts
 
 
+def _split_keys(rng: np.random.Generator, shape: tuple[int, ...], c: int,
+                parts: int) -> tuple[np.ndarray, list]:
+    """int16 keys equal to ``rng.integers(0, c, shape, dtype=np.int16)`` for c
+    a power of two, and the jobs that fill them, one per part; ``rng`` is
+    left where that draw leaves it.  The jobs may run in any order, at once.
+
+    For c = 2**b numpy's bounded draw rejects nothing: a key is the top b
+    bits of one 16-bit half of a 32-bit draw, low half first.  The 32-bit
+    draws are the value the bit generator buffers, if it holds one, and then
+    the low and the high half of each 64-bit output, so the other keys come
+    four to an output and split at whole outputs as rng._split's uniforms
+    do.  An odd count of 32-bit draws from outputs leaves the last output's
+    high half buffered.
+    """
+    keys = np.empty(shape, dtype=np.int16)
+    flat = keys.reshape(-1).view(np.uint16)
+    if not flat.size:
+        return keys, []
+    shift = 17 - c.bit_length()
+    bit = _advanceable(rng)
+    state = bit.state
+    head = min(flat.size, 2) if state["has_uint32"] else 0
+    flat[:head] = [(state["uinteger"] & 0xFFFF) >> shift, state["uinteger"] >> 16 >> shift][:head]
+    tail = flat[head:]
+    outputs = -(-tail.size // 4)
+    bounds = [outputs * p // parts for p in range(parts + 1)]
+    gens = _split(rng, [hi - lo for lo, hi in zip(bounds, bounds[1:])])
+    if outputs:
+        last = copy.deepcopy(gens[-1].bit_generator)
+        last.advance(outputs - bounds[-2] - 1)
+        buffered = {"has_uint32": -(-tail.size // 2) % 2, "uinteger": int(last.random_raw()) >> 32}
+    else:
+        buffered = {"has_uint32": 0}
+    bit.state = {**bit.state, **buffered}
+    # A part draws a 64th of its outputs at a time, from 8 to 128 KB of them.
+    step = min(max(outputs // parts // 64, 1 << 10), 1 << 14)
+    return keys, [partial(_fill_keys, tail[4 * lo : 4 * hi], gen.bit_generator, shift, step)
+                  for lo, hi, gen in zip(bounds, bounds[1:], gens)]
+
+
+def _fill_keys(keys: np.ndarray, bit: np.random.BitGenerator, shift: int, step: int) -> None:
+    """Each uint16 of ``keys`` the next little-endian 16-bit half of ``bit``'s
+    64-bit outputs, shifted right by ``shift``, ``step`` outputs at a time."""
+    for lo in range(0, keys.size, 4 * step):
+        part = keys[lo : lo + 4 * step]
+        raw = bit.random_raw(-(-part.size // 4)).astype("<u8", copy=False)
+        np.right_shift(raw.view("<u2")[: part.size], shift, out=part)
+
+
 def _cpus() -> int:
     """CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -52,15 +108,16 @@ def _cpus() -> int:
 
 def _in_threads(jobs: list) -> list:
     """Call every job at once, the first on this thread and each other on a
-    thread of its own; their results in order.  The first exception a job
-    raises is raised here, after every thread has ended."""
-    results, errors = [None] * len(jobs), []
+    thread of its own; their results in order.  The exception of the first
+    job in the list that raises one is raised here, after every thread has
+    ended."""
+    results, errors = [None] * len(jobs), [None] * len(jobs)
 
     def run(i):
         try:
             results[i] = jobs[i]()
         except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
+            errors[i] = exc
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(jobs))]
     for thread in threads:
@@ -69,6 +126,7 @@ def _in_threads(jobs: list) -> list:
         run(0)
     for thread in threads:
         thread.join()
-    if errors:
-        raise errors[0]
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return results

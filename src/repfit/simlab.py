@@ -25,7 +25,7 @@ from .artifacts import INT64, INTEGER, NUMBER, NUMBER_ARRAY, NUMBER_MATRIX, OBJE
 from .artifacts import is_int64, is_number, read_fields
 from .corpus import _MIN_PART, build_corpus, compute_statistics
 from .errors import ValidationError
-from .rng import _cpus, _in_threads, _split, checked_rng
+from .rng import _cpus, _in_threads, _split, _split_keys, checked_rng
 from .scoring import _combine, weights
 from .urn import hatted_urn, urn_from_stats
 
@@ -122,7 +122,7 @@ class LanguageModel:
             cdf /= cdf[-1]
             codes = out.reshape(-1)
             n = codes.size
-            parts = max(1, min(cpus, n // _MIN_PART))
+            parts = _part_count(n, cpus)
             bounds = [n * p // parts for p in range(parts + 1)]
             gens = _split(rng, [hi - lo for lo, hi in zip(bounds, bounds[1:])])
             return out, [partial(_fill_iid, codes[lo:hi], cdf, gen, max(1, chunk // parts))
@@ -196,45 +196,56 @@ def generate_traffic(
     label order is shuffled.  The recorded prior odds are
     fraction_right / (1 - fraction_right).
 
-    The plaintexts fill on worker threads while this thread draws the keys
-    and labels; an iid text is cut into parts of at least _MIN_PART letters,
-    one thread each.  The draws, and so the traffic, do not depend on the
-    number of threads.
+    The plaintexts fill on worker threads, each iid text cut into parts of
+    at least _MIN_PART letters, one thread each.  The keys of a power-of-two
+    alphabet fill in such parts beside them; other alphabets' keys reject a
+    data-dependent count of draws, so this thread draws them meanwhile.
+    This thread then draws the labels, and the pairs are enciphered in row
+    parts of at least _MIN_PART cells.  The draws, and so the traffic, do
+    not depend on the number of threads.
     """
     _check_traffic(n_pairs, msg_len, overlap, fraction_right)
     rng = checked_rng(seed)
     c = lm.alphabet_size
     shift = msg_len - overlap
+    cpus = _cpus()
 
-    # The two texts fill at once, each on half the CPUs and with half the
-    # temporaries of one sampled text.
-    half = max(1, _cpus() // 2)
+    # The two texts, and a power-of-two alphabet's two key streams, fill at
+    # once, each on half the CPUs; each text holds half the temporaries of
+    # one sampled text.
+    half = max(1, cpus // 2)
     plain_a, jobs_a = lm._draw((n_pairs, msg_len), rng, half, _SAMPLE_CHUNK // 2)
     plain_b, jobs_b = lm._draw((n_pairs, msg_len), rng, half, _SAMPLE_CHUNK // 2)
 
-    def keys():
-        # One key stream per pair covering both messages' machine positions; a
-        # second, independent stream replaces B's aligned keys for wrong pairs.
-        key = rng.integers(0, c, size=(n_pairs, msg_len + shift), dtype=np.int16)
-        key_b = rng.integers(0, c, size=(n_pairs, msg_len), dtype=np.int16)
-        n_right = round(n_pairs * fraction_right)
-        is_right = np.zeros(n_pairs, dtype=bool)
-        is_right[rng.permutation(n_pairs)[:n_right]] = True
-        return key, key_b, is_right
+    # One key stream per pair covering both messages' machine positions; a
+    # second, independent stream replaces B's aligned keys for wrong pairs.
+    shapes = [(n_pairs, msg_len + shift), (n_pairs, msg_len)]
+    if c & (c - 1):
+        # Rejection makes the count of draws depend on the data, so these
+        # keys are drawn on this thread, by the first job.
+        def keys():
+            return [rng.integers(0, c, size=shape, dtype=np.int16) for shape in shapes]
 
-    # The keys are drawn on this thread, so that their memory comes from its
-    # heap rather than from a worker's own.
-    (key, key_b, is_right), *_ = _in_threads([keys, *jobs_a, *jobs_b])
+        (key, key_b), *_ = _in_threads([keys, *jobs_a, *jobs_b])
+    else:
+        (key, jobs_key), (key_b, jobs_key_b) = [
+            _split_keys(rng, shape, c, _part_count(shape[0] * shape[1], half)) for shape in shapes
+        ]
+        _in_threads([*jobs_key, *jobs_key_b, *jobs_a, *jobs_b])
+    # The labels, next in the stream, once the fills' temporaries are freed.
+    is_right = np.zeros(n_pairs, dtype=bool)
+    is_right[rng.permutation(n_pairs)[: round(n_pairs * fraction_right)]] = True
 
-    np.copyto(key_b, key[:, shift:], where=is_right[:, None])
-    # B's keys are settled, and freed, before A's are enciphered in place over `key`.
-    cipher_b = _encipher(plain_b, key_b, c)
-    del key_b
-    cipher_a = _encipher(plain_a, key[:, :msg_len], c)
+    def encipher(lo, hi):
+        np.copyto(key_b[lo:hi], key[lo:hi, shift:], where=is_right[lo:hi, None])
+        _encipher(plain_b[lo:hi], key_b[lo:hi], c)
+        _encipher(plain_a[lo:hi], key[lo:hi, :msg_len], c)
+
+    _in_threads([partial(encipher, lo, hi) for lo, hi in _row_parts(n_pairs, msg_len, cpus)])
 
     return Traffic(
-        cipher_a=cipher_a,
-        cipher_b=cipher_b,
+        cipher_a=plain_a,
+        cipher_b=plain_b,
         is_right=is_right,
         shift=shift,
         overlap=overlap,
@@ -257,9 +268,21 @@ def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: flo
         )
 
 
-def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> np.ndarray:
+def _part_count(cells: int, cpus: int) -> int:
+    """Parts of at least _MIN_PART cells, one per CPU at most, and at least one."""
+    return max(1, min(cpus, cells // _MIN_PART))
+
+
+def _row_parts(rows: int, cols: int, cpus: int) -> list[tuple[int, int]]:
+    """Row bounds (lo, hi) of a rows x cols matrix cut into _part_count parts."""
+    parts = _part_count(rows * cols, cpus)
+    bounds = [rows * p // parts for p in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> None:
     """(plain + key) mod c as uint8, summed in place in the int16 key and
-    written over ``plain``, which is returned, _SAMPLE_CHUNK cells at a time.
+    written over ``plain``, _SAMPLE_CHUNK cells at a time.
 
     Both letters are < c <= 256, so their uint16 sum s is below 2c, and
     min(s, s - c) is s mod c because s - c wraps around when s < c.
@@ -270,7 +293,6 @@ def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> np.ndarray:
         block = s[lo : lo + step]
         block += plain[lo : lo + step]
         np.minimum(block, block - np.uint16(c), out=plain[lo : lo + step], casting="unsafe")
-    return plain
 
 
 def run_length_table(coincidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,19 +457,30 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         seed=int(master.integers(0, 2**63)),
     )
 
-    # Score _SAMPLE_CHUNK cells of pairs at a time; each row's weights are
-    # still summed run by run, and mu_table grows to the longest run so far.
+    # Score row parts of at least _MIN_PART cells on threads, each part
+    # _SAMPLE_CHUNK cells of pairs at a time: half a chunk a part, on 2
+    # CPUs, took as long as one part.  Each row's weights are still summed
+    # run by run.  A part's mu_table grows from r = 1 to its longest run so
+    # far, so every part that meets an unscorable length fails at the
+    # shortest one.
     a, b = traffic.cipher_a[:, traffic.shift :], traffic.cipher_b[:, :overlap]
     step = max(1, _SAMPLE_CHUNK // overlap)
-    mu, mu_table = [0.0], np.zeros(1)
     run_evidence = np.empty(n_pairs)
-    for lo in range(0, n_pairs, step):
-        hits = a[lo : lo + step] == b[lo : lo + step]
-        rows, lengths = run_length_table(hits)
-        if lengths.size and lengths.max() >= len(mu):
-            mu += [w.mu_for(r) for r in range(len(mu), int(lengths.max()) + 1)]
-            mu_table = np.array(mu)
-        run_evidence[lo : lo + step] = np.bincount(rows, mu_table[lengths], len(hits))
+
+    def score(start, stop):
+        mu, mu_table = [0.0], np.zeros(1)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            hits = a[lo:hi] == b[lo:hi]
+            rows, lengths = run_length_table(hits)
+            if lengths.size and lengths.max() >= len(mu):
+                mu += [w.mu_for(r) for r in range(len(mu), int(lengths.max()) + 1)]
+                mu_table = np.array(mu)
+            run_evidence[lo:hi] = np.bincount(rows, mu_table[lengths], len(hits))
+        return len(mu) - 1
+
+    max_run = max(_in_threads([partial(score, lo, hi)
+                               for lo, hi in _row_parts(n_pairs, overlap, _cpus())]))
     _, log_odds, posterior = _combine(w, traffic.prior_log_odds, run_evidence, overlap)
 
     # In Python floats, so that an overflow reads inf without a numpy warning.
@@ -489,6 +522,6 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         "mean_log_odds_wrong": float(wrong.mean()) if wrong.size else None,
         "std_log_odds_right": float(right.std()) if right.size else None,
         "std_log_odds_wrong": float(wrong.std()) if wrong.size else None,
-        "max_run_scored": len(mu) - 1,
+        "max_run_scored": max_run,
     }
     return ExperimentReport(config=dict(config.echo), bins=tuple(bins), totals=totals)

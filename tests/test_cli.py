@@ -477,6 +477,27 @@ def test_sample_count_beyond_memory_exits_3_before_drawing(tmp_path, capsys, mon
     assert "--count" in err and out == ""
 
 
+@pytest.mark.parametrize("sizes, names", [
+    ({"n_pairs": 2**40, "overlap": 2}, ["n_pairs", "overlap"]),
+    ({"n_pairs": 2**40, "overlap": 2, "msg_len": 3}, ["n_pairs", "msg_len"]),
+    ({"corpus_size": 2**40}, ["corpus_size"]),
+])
+def test_simulate_beyond_memory_exits_3_before_drawing(tmp_path, capsys, monkeypatch, sizes,
+                                                       names):
+    # The traffic takes under 7 bytes a message cell and the census about
+    # 8.5 a corpus letter: terabytes here.
+    def experiment(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(simlab, "calibration_experiment", experiment)
+    doc = {"language": {"c": 4}, "corpus_size": 1_000, "n_pairs": 100, "overlap": 10,
+           "fraction_right": 0.5, "seed": 1, **sizes}
+    config = write(tmp_path, "config.json", json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--config", config)
+    assert code == 3
+    assert all(name in err for name in names) and "memory" in err and out == ""
+
+
 def test_stats_with_more_pairs_than_the_circle_has_exit_3_naming_m(tmp_path, capsys):
     # M_1 = 100 equal-letter pairs among the N(N-1)/2 = 10 pairs of 5 letters.
     doc = {"N": 5, "c": 26, "r_max": 4, "M": [100, 100, 100, 100], "Nr": [0, 0]}
@@ -539,6 +560,23 @@ PINNED_SHA256 = {
         "e4f3cff9288a4a6fb877fc775681255b7490e475d8ef5d24098cd54951cf7c7b",
     "sample.json":
         "201ae1f2f14cc855497416a3f0e52a346b80c54bed672058f4cd3821fc14fadb",
+    "simulate-iid4.json":
+        "5ffd733191c6c3d8b417b8e7d627c82a3017905a48ec10e71df567aee66fbe7c",
+    "simulate-iid26.json":
+        "7951c23953c47252155f1010f5c08454f88e823d365514c851710a0443cfcb0e",
+    "simulate-markov4.json":
+        "fc811ba6caba079e8168ff4662d5d0bc0bbf62cf2b086f4bc5e22ebf05eeba2a",
+}
+
+
+# Languages of the pinned simulate reports: a power-of-two alphabet, one that
+# is not, and a chain.
+_PINNED_LANGUAGES = {
+    "simulate-iid4": {"c": 4, "probs": [0.55, 0.25, 0.15, 0.05]},
+    "simulate-iid26": {"c": 26},
+    "simulate-markov4": {"c": 4, "kind": "markov-1", "transition": [
+        [0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1], [0.1, 0.1, 0.7, 0.1], [0.25, 0.25, 0.25, 0.25],
+    ]},
 }
 
 
@@ -563,6 +601,12 @@ def test_reproducible_artifacts_keep_their_bytes(tmp_path, capsys):
         "sample.json": ["sample", "--urn", str(tmp_path / "urn.json"),
                         "--overlap", "60", "--count", "40", "--seed", "11"],
     }
+    for name, language in _PINNED_LANGUAGES.items():
+        config = write(tmp_path, f"{name}-config.json", json.dumps({
+            "language": language, "corpus_size": 5_000, "n_pairs": 3_001, "overlap": 30,
+            "msg_len": 37, "fraction_right": 0.4, "seed": 15, "r_max": 8,
+        }))
+        commands[f"{name}.json"] = ["simulate", "--config", config]
     digests = {}
     for name, argv in commands.items():
         out = tmp_path / name

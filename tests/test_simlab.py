@@ -193,13 +193,19 @@ def test_traffic_bookkeeping():
     LanguageModel(alphabet_size=256),
     LanguageModel(alphabet_size=3, kind="markov-1",
                   transition=np.array([[0.6, 0.4, 0.0], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]])),
-], ids=["skewed4", "uniform200", "uniform256", "markov3"])
+    LanguageModel(alphabet_size=4, kind="markov-1",
+                  transition=np.array([[0.6, 0.4, 0.0, 0.0], [0.1, 0.1, 0.7, 0.1],
+                                       [0.3, 0.3, 0.2, 0.2], [0.0, 0.0, 0.5, 0.5]])),
+], ids=["skewed4", "uniform200", "uniform256", "markov3", "markov4"])
 def test_traffic_equals_the_reference_draws(lm, monkeypatch):
     # Ciphertexts are written over the plaintexts, in whole-batch blocks or
-    # in blocks of 1 or 7 rows.  On 2 or 4 CPUs the texts fill on threads
-    # that interleave between most bytecodes, each iid text in 1 or 2 parts;
-    # every thread has ended on return.
-    expected = traffic_oracle(lm, 300, 40, 25, 0.4, 2718)[2:]
+    # in blocks of 1 or 7 rows.  On 2 or 4 CPUs the texts, and the keys of a
+    # power-of-two alphabet, fill on threads that interleave between most
+    # bytecodes, each iid text and key stream in 1 or 2 parts, and the pairs
+    # are enciphered in 1, 2 or 4 row parts; every thread has ended on return.
+    # A's 301 x 57 keys take an odd count of 32-bit draws, so B's start
+    # from the half of a 64-bit output that the generator buffers.
+    expected = traffic_oracle(lm, 301, 41, 25, 0.4, 2718)[2:]
     monkeypatch.setattr(simlab, "_MIN_PART", 1)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
@@ -210,8 +216,8 @@ def test_traffic_equals_the_reference_draws(lm, monkeypatch):
             for block_rows in (None, 1, 7):
                 with pytest.MonkeyPatch.context() as patch:
                     if block_rows is not None:
-                        patch.setattr(simlab, "_SAMPLE_CHUNK", block_rows * 40)
-                    traffic = generate_traffic(lm, n_pairs=300, msg_len=40, overlap=25,
+                        patch.setattr(simlab, "_SAMPLE_CHUNK", block_rows * 41)
+                    traffic = generate_traffic(lm, n_pairs=301, msg_len=41, overlap=25,
                                                fraction_right=0.4, seed=2718)
                 assert threading.active_count() == threads
                 got = (traffic.cipher_a, traffic.cipher_b, traffic.is_right)
@@ -457,8 +463,11 @@ def test_experiment_log_odds_match_odds_of_fit_row_by_row(
 def test_blocked_scoring_equals_the_whole_matrix_oracle(
     c, overlap, shift, smoothing, block_rows, seed
 ):
-    # Scoring runs _SAMPLE_CHUNK // overlap rows at a time: 1, 2 or 7 rows
-    # here, or the real size, which holds all 20 pairs in one block.
+    # Scoring runs in one row part per CPU, 1, 2 or 4 with _MIN_PART patched
+    # to one cell, each part _SAMPLE_CHUNK // overlap rows at a time: here 1,
+    # 2 or 7 rows, or the real size, which holds a part in one block.  The
+    # longest run scored is the longest of any part, and an unscorable run
+    # fails every part that meets one at the shortest.
     raw = np.random.default_rng(seed).random(c) + 0.05
     config = ExperimentConfig(
         LanguageModel(alphabet_size=c, letter_probs=raw / raw.sum()),
@@ -466,9 +475,11 @@ def test_blocked_scoring_equals_the_whole_matrix_oracle(
         seed=seed, msg_len=overlap + shift, r_max=6, smoothing=smoothing,
     )
 
-    def experiment(chunk):
+    def experiment(chunk, cpus):
         calls = {}
         with patch.object(simlab, "_SAMPLE_CHUNK", chunk), \
+                patch.object(simlab, "_MIN_PART", 1), \
+                patch.object(simlab, "_cpus", lambda: cpus), \
                 patch.object(simlab, "weights", _spy(calls, "weights", simlab.weights)), \
                 patch.object(simlab, "generate_traffic",
                              _spy(calls, "traffic", simlab.generate_traffic)), \
@@ -479,21 +490,22 @@ def test_blocked_scoring_equals_the_whole_matrix_oracle(
                 return str(exc), calls
 
     real = simlab._SAMPLE_CHUNK
-    blocked, calls = experiment(real if block_rows is None else block_rows * overlap)
-    whole, _ = experiment(real)
-    assert blocked == whole
-    w, traffic = calls["weights"][2], calls["traffic"][2]
-    try:
-        evidence, lengths = run_evidence_oracle(w, cipher_coincidences(traffic))
-    except ModelError as exc:
-        assert blocked == str(exc)
-        assert "combine" not in calls
-        return
-    (_, prior, run_evidence, _), _, (_, log_odds, _) = calls["combine"]
-    assert (run_evidence == evidence).all()
-    assert (log_odds == simlab._combine(w, prior, evidence, overlap)[1]).all()
-    max_run = int(lengths.max()) if lengths.size else 0
-    assert json.loads(blocked)["totals"]["max_run_scored"] == max_run
+    whole, _ = experiment(real, 1)
+    for cpus in (1, 2, 4):
+        blocked, calls = experiment(real if block_rows is None else block_rows * overlap, cpus)
+        assert blocked == whole, cpus
+        w, traffic = calls["weights"][2], calls["traffic"][2]
+        try:
+            evidence, lengths = run_evidence_oracle(w, cipher_coincidences(traffic))
+        except ModelError as exc:
+            assert blocked == str(exc)
+            assert "combine" not in calls
+            continue
+        (_, prior, run_evidence, _), _, (_, log_odds, _) = calls["combine"]
+        assert (run_evidence == evidence).all()
+        assert (log_odds == simlab._combine(w, prior, evidence, overlap)[1]).all()
+        max_run = int(lengths.max()) if lengths.size else 0
+        assert json.loads(blocked)["totals"]["max_run_scored"] == max_run
 
 
 def test_experiment_peaks_below_seven_bytes_per_cell():
