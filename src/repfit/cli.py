@@ -225,31 +225,10 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_sample_fits_in_memory(overlap: int, count: int) -> None:
-    """Reject a count whose figures alone would outgrow physical memory:
-    each holds up to ``overlap`` cells in a str, one figure object and a
-    list slot."""
+def _check_fits_in_memory(needs: dict[str, int]) -> None:
+    """Reject work that would outgrow physical memory: ``needs`` maps each
+    part of it, named as the error names it, to the bytes it takes."""
     memory = _physical_memory()
-    per_figure = sys.getsizeof("") + overlap + sys.getsizeof(RepetitionFigure("")) + 8
-    if memory is not None and count * per_figure > memory:
-        raise ValidationError(
-            f"--overlap {overlap} x --count {count} figures need {count * per_figure} bytes, "
-            f"more than the {memory} bytes of memory this machine has"
-        )
-
-
-def _check_simulate_fits_in_memory(config: simlab.ExperimentConfig) -> None:
-    """Reject an experiment whose census or traffic alone would outgrow
-    physical memory: the census takes about 8.5 bytes a corpus letter, and
-    the traffic under 7 bytes a message cell, beside a byte a corpus letter."""
-    memory = _physical_memory()
-    letters = config.corpus_size if config.urn == "from-corpus" else 0
-    length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
-    cells = config.n_pairs * length[1]
-    needs = {
-        f"corpus_size {letters} letters": 17 * letters // 2,
-        f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells": letters + 7 * cells,
-    }
     for what, need in needs.items():
         if memory is not None and need > memory:
             raise ValidationError(
@@ -260,7 +239,11 @@ def _check_simulate_fits_in_memory(config: simlab.ExperimentConfig) -> None:
 
 def _cmd_sample(args) -> int:
     urn = urn_from_json(Path(args.urn).read_bytes())
-    _check_sample_fits_in_memory(args.overlap, args.count)
+    # Each figure holds up to --overlap cells in a str, one figure object
+    # and a list slot.
+    per_figure = sys.getsizeof("") + args.overlap + sys.getsizeof(RepetitionFigure("")) + 8
+    _check_fits_in_memory({f"--overlap {args.overlap} x --count {args.count} figures":
+                           args.count * per_figure})
     try:
         figures, scrapped = sample_figures(
             urn,
@@ -291,7 +274,15 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = read_object(Path(args.config).read_bytes(), "experiment config")
     config = simlab.ExperimentConfig.from_dict(doc)
-    _check_simulate_fits_in_memory(config)
+    # The census takes about 8.5 bytes a corpus letter, and the traffic
+    # under 7 bytes a message cell, beside a byte a corpus letter.
+    letters = config.corpus_size if config.urn == "from-corpus" else 0
+    length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
+    _check_fits_in_memory({
+        f"corpus_size {letters} letters": 17 * letters // 2,
+        f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells":
+            letters + 7 * config.n_pairs * length[1],
+    })
     report = simlab.calibration_experiment(config)
     _write_artifact(args.out, report.to_json())
     if args.csv:

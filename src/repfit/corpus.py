@@ -51,7 +51,7 @@ import numpy as np
 
 from .artifacts import INT64, INT64_ARRAY, STRING, dump, read_fields, read_object
 from .errors import ModelError, ValidationError
-from .rng import _cpus, _in_threads
+from .rng import _cpus, _in_threads, _parts
 
 __all__ = [
     "CircularCorpus",
@@ -69,9 +69,6 @@ _WORD_BITS = 64
 # Positions packed, or adjacencies counted, per step: a chunk of keys stays
 # in cache while every symbol column or every order r is applied to it.
 _CHUNK = 1 << 16
-# Fewest positions per part of a threaded census: below this, starting the
-# threads costs more than the second core saves.
-_MIN_PART = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -214,19 +211,20 @@ def _pack(codes: np.ndarray, bits: int, r_max: int, words: list[np.ndarray],
         chunk[w] <<= free
 
 
-def _cuts(codes: np.ndarray, c: int, parts: int) -> list[int]:
-    """Bounds of about ``parts`` equal parts of the sorted one-word keys,
-    each cut where the first symbol changes: the key index after the last
-    key of some symbol nearest each n*p/parts.  Symbols are counted _CHUNK
-    codes at a time, so the count's intp casts stay chunk-sized."""
+def _cuts(codes: np.ndarray, c: int, parts: list[tuple[int, int]]) -> list[int]:
+    """Bounds of about as many parts of the sorted one-word keys as the
+    position ``parts``, each cut where the first symbol changes: the key
+    index after the last key of some symbol nearest each part's end.
+    Symbols are counted _CHUNK codes at a time, so the count's intp casts
+    stay chunk-sized."""
     n = codes.size
-    if parts == 1:
+    if len(parts) == 1:
         return [0, n]
     counts = np.zeros(c, dtype=np.int64)
     for start in range(0, n, _CHUNK):
         counts += np.bincount(codes[start : start + _CHUNK], minlength=c)
     ends = np.cumsum(counts)
-    cuts = {int(ends[np.abs(ends - n * p // parts).argmin()]) for p in range(1, parts)}
+    cuts = {int(ends[np.abs(ends - hi).argmin()]) for _, hi in parts[:-1]}
     return [0, *sorted(cuts - {0, n}), n]
 
 
@@ -245,8 +243,8 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     the next.  A group of s grams holds s(s-1)/2 pairs and the sizes sum to
     n, so M_r = (sum s^2 - n) / 2.
 
-    One-word keys of a corpus of at least 2 * _MIN_PART letters are worked
-    in parts, one thread each, up to the number of CPUs the process may
+    One-word keys are worked in parts, one thread each (see rng._parts):
+    from 2 * _MIN_PART letters on, up to the number of CPUs the process may
     use.  Each thread packs its share of the positions.  The keys are then
     cut, by in-place partitions, between the last key of one first symbol
     and the first of the next, near equal sizes; each thread sorts and
@@ -263,9 +261,8 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     bits = max(1, (c - 1).bit_length())
     symbols = corpus.codes.astype(np.min_scalar_type(c - 1), copy=False)
     words = [np.zeros(n, dtype=np.uint64) for _ in range(-(-bits * r_max // _WORD_BITS))]
-    parts = 1 if len(words) > 1 or c == 1 else max(1, min(_cpus(), n // _MIN_PART))
-    _in_threads([partial(_pack, symbols, bits, r_max, words, n * p // parts, n * (p + 1) // parts)
-                 for p in range(parts)])
+    parts = _parts(n, n, 1 if len(words) > 1 or c == 1 else _cpus())
+    _in_threads([partial(_pack, symbols, bits, r_max, words, lo, hi) for lo, hi in parts])
     if len(words) == 1:
         key, cuts = words[0], _cuts(symbols, c, parts)
         for lo, cut in zip(cuts, cuts[1:-1]):

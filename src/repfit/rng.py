@@ -1,4 +1,9 @@
-"""Seed handling and threads shared by the samplers and the census."""
+"""Seed handling, draws and threads shared by the samplers and the census.
+
+This module owns the one categorical fill, which draws the letters of an
+i.i.d. text and the cards of an urn alike, and the one rule that cuts work
+into thread parts.
+"""
 
 import copy
 import os
@@ -8,6 +13,14 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError
+
+# Fewest cells per thread part: below this, starting a thread costs more
+# than the second core saves.
+_MIN_PART = 1 << 20
+# Uniforms a categorical fill draws at a time, kept in cache across its one
+# pass per cdf entry: the urn sampler's cards at a time, and the sum over a
+# sampled text's fill jobs (half of it for each of traffic's two texts).
+_SAMPLE_CHUNK = 1 << 16
 
 
 def checked_rng(seed: int | None) -> np.random.Generator:
@@ -52,11 +65,43 @@ def _split(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generat
     return parts
 
 
+def _parts(n: int, cells: int, cpus: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) cutting 0..n into near-equal parts for ``cells`` cells
+    of work: parts of at least _MIN_PART cells, one per CPU at most, and at
+    least one."""
+    parts = max(1, min(cpus, cells // _MIN_PART))
+    bounds = [n * p // parts for p in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _fill_categorical(codes: np.ndarray, p: np.ndarray, rng: np.random.Generator,
+                      chunk: int) -> None:
+    """Each of ``codes`` a category drawn with proportions ``p`` as
+    ``Generator.choice`` draws it: from one float64 uniform u, the count of
+    entries <= u of the cdf, ``p.cumsum()`` over its last entry, which is
+    ``cdf.searchsorted(u, side="right")``.  The count is tallied one entry
+    at a time over ``chunk`` uniforms, and stops at the first entry of 1.0:
+    u < 1, and no entry exceeds the last, which is 1.0."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    top = int(cdf.searchsorted(1.0))
+    u = np.empty(min(codes.size, chunk))
+    hit = np.empty(u.size, dtype=bool)
+    for lo in range(0, codes.size, chunk):
+        part = codes[lo : lo + chunk]
+        draws = rng.random(out=u[: part.size])
+        np.greater_equal(draws, cdf[0], out=part)
+        for k in range(1, top):
+            np.greater_equal(draws, cdf[k], out=hit[: part.size])
+            part += hit[: part.size]
+
+
 def _split_keys(rng: np.random.Generator, shape: tuple[int, ...], c: int,
-                parts: int) -> tuple[np.ndarray, list]:
+                cpus: int) -> tuple[np.ndarray, list]:
     """int16 keys equal to ``rng.integers(0, c, shape, dtype=np.int16)`` for c
-    a power of two, and the jobs that fill them, one per part; ``rng`` is
-    left where that draw leaves it.  The jobs may run in any order, at once.
+    a power of two, and the jobs that fill them, one per part (see _parts);
+    ``rng`` is left where that draw leaves it.  The jobs may run in any
+    order, at once.
 
     For c = 2**b numpy's bounded draw rejects nothing: a key is the top b
     bits of one 16-bit half of a 32-bit draw, low half first.  The 32-bit
@@ -77,19 +122,19 @@ def _split_keys(rng: np.random.Generator, shape: tuple[int, ...], c: int,
     flat[:head] = [(state["uinteger"] & 0xFFFF) >> shift, state["uinteger"] >> 16 >> shift][:head]
     tail = flat[head:]
     outputs = -(-tail.size // 4)
-    bounds = [outputs * p // parts for p in range(parts + 1)]
-    gens = _split(rng, [hi - lo for lo, hi in zip(bounds, bounds[1:])])
+    parts = _parts(outputs, flat.size, cpus)
+    gens = _split(rng, [hi - lo for lo, hi in parts])
     if outputs:
         last = copy.deepcopy(gens[-1].bit_generator)
-        last.advance(outputs - bounds[-2] - 1)
+        last.advance(outputs - parts[-1][0] - 1)
         buffered = {"has_uint32": -(-tail.size // 2) % 2, "uinteger": int(last.random_raw()) >> 32}
     else:
         buffered = {"has_uint32": 0}
     bit.state = {**bit.state, **buffered}
     # A part draws a 64th of its outputs at a time, from 8 to 128 KB of them.
-    step = min(max(outputs // parts // 64, 1 << 10), 1 << 14)
+    step = min(max(outputs // len(parts) // 64, 1 << 10), 1 << 14)
     return keys, [partial(_fill_keys, tail[4 * lo : 4 * hi], gen.bit_generator, shift, step)
-                  for lo, hi, gen in zip(bounds, bounds[1:], gens)]
+                  for (lo, hi), gen in zip(parts, gens)]
 
 
 def _fill_keys(keys: np.ndarray, bit: np.random.BitGenerator, shift: int, step: int) -> None:

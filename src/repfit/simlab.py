@@ -23,9 +23,10 @@ import numpy as np
 
 from .artifacts import INT64, INTEGER, NUMBER, NUMBER_ARRAY, NUMBER_MATRIX, OBJECT, STRING, dump
 from .artifacts import is_int64, is_number, read_fields
-from .corpus import _MIN_PART, build_corpus, compute_statistics
+from .corpus import build_corpus, compute_statistics
 from .errors import ValidationError
-from .rng import _cpus, _in_threads, _split, _split_keys, checked_rng
+from .rng import _SAMPLE_CHUNK, _cpus, _fill_categorical, _in_threads, _parts, _split
+from .rng import _split_keys, checked_rng
 from .scoring import _combine, weights
 from .urn import hatted_urn, urn_from_stats
 
@@ -38,12 +39,6 @@ __all__ = [
     "calibration_experiment",
     "generate_traffic",
 ]
-
-
-# Uniforms that a sampled text's fill jobs hold at once between them; each
-# of traffic's two texts holds half. The iid sampler passes over its draws
-# once per cdf threshold, so they should stay in cache between passes.
-_SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,10 @@ class LanguageModel:
     def sample(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Letter codes of the given shape (rows are independent texts).
 
-        The iid path equals ``rng.choice(c, size=shape, p=letter_probs)`` as
-        ``uint8`` and leaves ``rng`` in the same state.  ``rng`` must draw
-        from a PCG64 or PCG64DXSM bit generator, as default_rng's does.
+        The iid path equals ``rng``'s ``Generator.choice`` draw of ``shape``
+        from ``c`` letters at ``letter_probs``, as ``uint8``, and leaves
+        ``rng`` in the same state.  ``rng`` must draw from a PCG64 or
+        PCG64DXSM bit generator, as default_rng's does.
         """
         out, jobs = self._draw(shape, rng, _cpus(), _SAMPLE_CHUNK)
         _in_threads(jobs)
@@ -110,23 +106,18 @@ class LanguageModel:
         uniforms, which the jobs draw from their own copies of it (see
         rng._split).  The jobs may run in any order, at once, on any thread,
         and together hold temporaries for at most ``chunk`` uniforms.  An
-        iid text of n letters is cut into min(cpus, n // _MIN_PART) jobs, at
-        least one; a chain is one job.
+        iid text is cut into one job per part (see rng._parts); a chain is
+        one job.
         """
         c = self.alphabet_size
         out = np.empty(shape, dtype=np.uint8)
         if self.kind == "iid-skewed":
-            # rng.choice draws one float64 per letter and returns the count
-            # of cdf entries <= u; the last entry is 1.0 and never counts.
-            cdf = self.letter_probs.cumsum()
-            cdf /= cdf[-1]
             codes = out.reshape(-1)
-            n = codes.size
-            parts = _part_count(n, cpus)
-            bounds = [n * p // parts for p in range(parts + 1)]
-            gens = _split(rng, [hi - lo for lo, hi in zip(bounds, bounds[1:])])
-            return out, [partial(_fill_iid, codes[lo:hi], cdf, gen, max(1, chunk // parts))
-                         for lo, hi, gen in zip(bounds, bounds[1:], gens)]
+            parts = _parts(codes.size, codes.size, cpus)
+            gens = _split(rng, [hi - lo for lo, hi in parts])
+            step = max(1, chunk // len(parts))
+            return out, [partial(_fill_categorical, codes[lo:hi], self.letter_probs, gen, step)
+                         for (lo, hi), gen in zip(parts, gens)]
         rows, cols = (1, shape[0]) if len(shape) == 1 else shape
         if cols == 0:
             return out, []
@@ -139,21 +130,6 @@ class LanguageModel:
         text[:, 0] = rng.integers(0, c, size=rows)
         (gen,) = _split(rng, [rows * (cols - 1)])
         return out, [partial(_fill_chain, text, cum, gen, max(1, chunk // c))]
-
-
-def _fill_iid(codes: np.ndarray, cdf: np.ndarray, rng: np.random.Generator,
-              chunk: int) -> None:
-    """Letters for ``codes`` from one uniform each: the count of ``cdf``
-    entries <= u, tallied one threshold at a time over ``chunk`` draws."""
-    u = np.empty(min(codes.size, chunk))
-    hit = np.empty(u.size, dtype=bool)
-    for lo in range(0, codes.size, chunk):
-        part = codes[lo : lo + chunk]
-        draws = rng.random(out=u[: part.size])
-        np.greater_equal(draws, cdf[0], out=part)
-        for k in range(1, cdf.size - 1):
-            np.greater_equal(draws, cdf[k], out=hit[: part.size])
-            part += hit[: part.size]
 
 
 def _fill_chain(text: np.ndarray, cum: np.ndarray, rng: np.random.Generator,
@@ -228,9 +204,8 @@ def generate_traffic(
 
         (key, key_b), *_ = _in_threads([keys, *jobs_a, *jobs_b])
     else:
-        (key, jobs_key), (key_b, jobs_key_b) = [
-            _split_keys(rng, shape, c, _part_count(shape[0] * shape[1], half)) for shape in shapes
-        ]
+        (key, jobs_key), (key_b, jobs_key_b) = [_split_keys(rng, shape, c, half)
+                                                for shape in shapes]
         _in_threads([*jobs_key, *jobs_key_b, *jobs_a, *jobs_b])
     # The labels, next in the stream, once the fills' temporaries are freed.
     is_right = np.zeros(n_pairs, dtype=bool)
@@ -241,7 +216,8 @@ def generate_traffic(
         _encipher(plain_b[lo:hi], key_b[lo:hi], c)
         _encipher(plain_a[lo:hi], key[lo:hi, :msg_len], c)
 
-    _in_threads([partial(encipher, lo, hi) for lo, hi in _row_parts(n_pairs, msg_len, cpus)])
+    _in_threads([partial(encipher, lo, hi)
+                 for lo, hi in _parts(n_pairs, n_pairs * msg_len, cpus)])
 
     return Traffic(
         cipher_a=plain_a,
@@ -266,18 +242,6 @@ def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: flo
             f"n_pairs {n_pairs} x (2 * msg_len {msg_len} - overlap {overlap}) int16 key "
             "cells are too many to address"
         )
-
-
-def _part_count(cells: int, cpus: int) -> int:
-    """Parts of at least _MIN_PART cells, one per CPU at most, and at least one."""
-    return max(1, min(cpus, cells // _MIN_PART))
-
-
-def _row_parts(rows: int, cols: int, cpus: int) -> list[tuple[int, int]]:
-    """Row bounds (lo, hi) of a rows x cols matrix cut into _part_count parts."""
-    parts = _part_count(rows * cols, cpus)
-    bounds = [rows * p // parts for p in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
 
 
 def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> None:
@@ -480,7 +444,7 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         return len(mu) - 1
 
     max_run = max(_in_threads([partial(score, lo, hi)
-                               for lo, hi in _row_parts(n_pairs, overlap, _cpus())]))
+                               for lo, hi in _parts(n_pairs, n_pairs * overlap, _cpus())]))
     _, log_odds, posterior = _combine(w, traffic.prior_log_odds, run_evidence, overlap)
 
     # In Python floats, so that an overflow reads inf without a numpy warning.

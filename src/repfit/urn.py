@@ -34,7 +34,7 @@ from .artifacts import INT64, NUMBER, PROPORTIONS, STRING, dump, read_fields, re
 from .corpus import RepeatStatistics, card_counts
 from .errors import ModelError, ValidationError
 from .figures import O_CELL, RepetitionFigure, X_CELL
-from .rng import checked_rng
+from .rng import _SAMPLE_CHUNK, _fill_categorical, checked_rng
 
 __all__ = [
     "UrnModel",
@@ -162,10 +162,6 @@ def exact_completion_probability(urn: UrnModel, overlap: int) -> float:
     return f[overlap]
 
 
-# Urn cells drawn per rng.choice call: a chunk's draw temporaries stay small.
-_SAMPLE_CHUNK = 1 << 16
-
-
 def sample_figures(
     urn: UrnModel,
     overlap: int,
@@ -182,16 +178,18 @@ def sample_figures(
     seed.  The rejection loop terminates with probability one because the
     no-repeat proportion is positive.
 
-    Each comparison is one row of ``overlap`` card draws made by
-    ``rng.choice``, and the rows form one stream whatever the chunking: the
-    figures are its first ``count`` exact rows, and ``scrapped`` counts the
-    overshooting rows before the last of them.
+    Each comparison is one row of ``overlap`` card draws, each as
+    ``rng.choice`` draws it (see rng._fill_categorical), and the rows form
+    one stream whatever the chunking: the figures are its first ``count``
+    exact rows, and ``scrapped`` counts the overshooting rows before the
+    last of them.  Cards are drawn into one reused buffer of the narrowest
+    unsigned type that holds a card's index.
     """
     if overlap < 1:
         raise ValidationError(f"overlap must be >= 1, got {overlap}")
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if 8 * overlap * count > np.iinfo(np.intp).max:  # every cell is drawn as an int64
+    if 8 * overlap * count > np.iinfo(np.intp).max:  # 8 bytes a cell: block ends are int64
         raise ValidationError(f"overlap {overlap} x count {count} cells are too many to address")
 
     rng = checked_rng(seed)
@@ -203,10 +201,12 @@ def sample_figures(
     # Every block is at least one cell, so `overlap` draws always settle a
     # session.
     rows = max(1, _SAMPLE_CHUNK // overlap)
+    cards = np.empty((rows, overlap), dtype=np.min_scalar_type(lengths.size - 1))
     figures: list[RepetitionFigure] = []
     scrapped = 0
     while len(figures) < count:
-        cum = lengths[rng.choice(lengths.size, size=(rows, overlap), p=probs)].cumsum(axis=1)
+        _fill_categorical(cards.reshape(-1), probs, rng, _SAMPLE_CHUNK)
+        cum = lengths[cards].cumsum(axis=1)
         exact = np.flatnonzero((cum == overlap).any(axis=1))[: count - len(figures)]
         last_row = int(exact[-1]) if len(figures) + exact.size == count else rows - 1
         scrapped += last_row + 1 - exact.size

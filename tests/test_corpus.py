@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repfit.rng
 from repfit import corpus as corpus_module
 from repfit.corpus import (
     CircularCorpus,
@@ -235,7 +236,7 @@ def test_threaded_census_equals_the_oracle_and_one_part(monkeypatch):
         for chunk in (1, 3, 7, corpus_module._CHUNK):
             monkeypatch.setattr(corpus_module, "_CHUNK", chunk)
             for min_part in (1, 5):
-                monkeypatch.setattr(corpus_module, "_MIN_PART", min_part)
+                monkeypatch.setattr(repfit.rng, "_MIN_PART", min_part)
                 for corpus, r_max, expected in cases:
                     symbols = np.unique(corpus.codes).size
                     for cpus in (1, 2, 3, 4):
@@ -264,7 +265,7 @@ def test_two_part_census_peaks_at_ten_bytes_per_letter(monkeypatch):
     # Two threads each hold their own chunk-sized temporaries beside the
     # one array of keys.  The corpus is the smallest that the census splits
     # in two; two CPUs are forced, so that the test also runs on one.
-    n = 2 * corpus_module._MIN_PART
+    n = 2 * repfit.rng._MIN_PART
     corpus = build_corpus([np.random.default_rng(9).integers(0, 26, size=n, dtype=np.uint8)], 26)
     monkeypatch.setattr(corpus_module, "_cpus", lambda: 2)
     sizes = _spy_parts(monkeypatch)
@@ -280,7 +281,7 @@ def test_an_exception_in_a_part_reaches_the_caller(monkeypatch):
             raise RuntimeError("part failed")
         return real(key, bits, r_max)
 
-    monkeypatch.setattr(corpus_module, "_MIN_PART", 1)
+    monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
     monkeypatch.setattr(corpus_module, "_cpus", lambda: 2)
     monkeypatch.setattr(corpus_module, "_sorted_squares", second_part_fails)
     threads = threading.active_count()

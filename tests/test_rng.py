@@ -1,14 +1,16 @@
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repfit.rng
 from repfit.errors import ValidationError
-from repfit.rng import _in_threads, _split, _split_keys
-from repfit.simlab import _SAMPLE_CHUNK, LanguageModel
+from repfit.rng import _SAMPLE_CHUNK, _in_threads, _split, _split_keys
+from repfit.simlab import LanguageModel
 
 
 @given(
@@ -47,7 +49,7 @@ def test_split_rejects_bit_generators_it_cannot_advance_by_outputs(bits):
 @given(
     bits=st.sampled_from([np.random.PCG64, np.random.PCG64DXSM]),
     c=st.sampled_from([2**b for b in range(1, 9)]),
-    parts=st.integers(1, 4),
+    cpus=st.integers(1, 4),
     # Sizes of none, one and a few keys; odd sizes; and sizes past the
     # 2**10-output step of one part, in one or two dimensions.
     shape=st.one_of(st.sampled_from([(0,), (1,), (2,), (3,), (5,), (4, 0), (3, 7)]),
@@ -56,14 +58,16 @@ def test_split_rejects_bit_generators_it_cannot_advance_by_outputs(bits):
     buffered=st.booleans(),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_split_keys_equal_the_int16_draw_of_a_twin_generator(bits, c, parts, shape, buffered,
+def test_split_keys_equal_the_int16_draw_of_a_twin_generator(bits, c, cpus, shape, buffered,
                                                              seed):
     rng, twin = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
     if buffered:
         # A 32-bit draw leaves the high half of a 64-bit output buffered,
         # which the key draw must take first.
         assert rng.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
-    keys, jobs = _split_keys(rng, shape, c, parts)
+    # Parts of one key at least: up to one per CPU, some with no outputs.
+    with mock.patch.object(repfit.rng, "_MIN_PART", 1):
+        keys, jobs = _split_keys(rng, shape, c, cpus)
     # The parts fill on threads, last first.
     _in_threads(jobs[::-1])
     expected = twin.integers(0, c, shape, dtype=np.int16)

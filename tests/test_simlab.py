@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repfit.rng
 from repfit import simlab
 from repfit.errors import ModelError, ValidationError
 from repfit.figures import figure_from_comparison
@@ -206,7 +207,7 @@ def test_traffic_equals_the_reference_draws(lm, monkeypatch):
     # A's 301 x 57 keys take an odd count of 32-bit draws, so B's start
     # from the half of a 64-bit output that the generator buffers.
     expected = traffic_oracle(lm, 301, 41, 25, 0.4, 2718)[2:]
-    monkeypatch.setattr(simlab, "_MIN_PART", 1)
+    monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -478,7 +479,7 @@ def test_blocked_scoring_equals_the_whole_matrix_oracle(
     def experiment(chunk, cpus):
         calls = {}
         with patch.object(simlab, "_SAMPLE_CHUNK", chunk), \
-                patch.object(simlab, "_MIN_PART", 1), \
+                patch.object(repfit.rng, "_MIN_PART", 1), \
                 patch.object(simlab, "_cpus", lambda: cpus), \
                 patch.object(simlab, "weights", _spy(calls, "weights", simlab.weights)), \
                 patch.object(simlab, "generate_traffic",
@@ -527,7 +528,7 @@ def test_threaded_experiment_peaks_below_seven_bytes_per_cell(monkeypatch):
     # Just past the size where an iid text fills in parts, the texts'
     # temporaries sit beside the key draws.
     monkeypatch.setattr(simlab, "_cpus", lambda: 2)
-    assert 21_000 * 50 >= simlab._MIN_PART
+    assert 21_000 * 50 >= repfit.rng._MIN_PART
     config = ExperimentConfig(SKEWED4, corpus_size=20_000, n_pairs=21_000, overlap=50,
                               fraction_right=0.5, seed=8)
     tracemalloc.start()
@@ -551,7 +552,7 @@ def test_fill_jobs_hold_one_chunk_of_temporaries_between_them(lm, monkeypatch):
     # bool hits, or a block of rows' c-wide sums and comparisons, for at
     # most `chunk` uniforms: 9 bytes each and a few per row of a block, not
     # a column of the text or rows x c sums.
-    monkeypatch.setattr(simlab, "_MIN_PART", 1)
+    monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
     chunk = simlab._SAMPLE_CHUNK // 2
     for cpus in (1, 2, 4):
         _, jobs = lm._draw((20_000, 50), np.random.default_rng(3), cpus, chunk)

@@ -10,6 +10,7 @@ import repfit.urn
 
 from repfit.corpus import RepeatStatistics, build_corpus, compute_statistics
 from repfit.errors import ModelError, ValidationError
+from repfit.rng import _SAMPLE_CHUNK, _fill_categorical
 from repfit.urn import (
     UrnModel,
     exact_completion_probability,
@@ -252,12 +253,13 @@ def test_sampler_figure_distribution_matches_block_probabilities():
 
 
 def test_sampler_card_frequencies_match_proportions():
-    # Unconditioned card draws follow the urn proportions.
+    # Unconditioned card draws of the sampler's fill follow the urn proportions.
     urn = hatted_urn(4)
     rng = np.random.default_rng(77)
     lengths = np.array([1] + [r + 1 for r in sorted(urn.alpha)])
     probs = np.array([urn.no_repeat] + [urn.alpha[r] for r in sorted(urn.alpha)])
-    draws = rng.choice(lengths.size, size=1_000_000, p=probs)
+    draws = np.empty(1_000_000, dtype=np.uint8)
+    _fill_categorical(draws, probs, rng, _SAMPLE_CHUNK)
     for idx in range(lengths.size):
         p = probs[idx]
         expected = draws.size * p
@@ -269,7 +271,9 @@ def test_sampler_card_frequencies_match_proportions():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([hatted_urn(2), TWELVE_CARD_URN]),
+    # The 1,001-kind urn draws uint16 cards, and all but 53 of its cdf
+    # entries are 1.0.
+    st.sampled_from([hatted_urn(2), TWELVE_CARD_URN, hatted_urn(2, r_max=1000)]),
     st.sampled_from([1, 2, 37]),
     st.integers(min_value=1, max_value=150),
     st.integers(min_value=0, max_value=2**32),
