@@ -27,7 +27,6 @@ from .errors import (
 )
 from .figures import (
     RepetitionFigure,
-    RunSpectrum,
     figure_from_comparison,
     parse_figure,
     run_spectrum,
@@ -70,7 +69,6 @@ __all__ = [
     "RepetitionFigure",
     "RepeatStatistics",
     "RepfitError",
-    "RunSpectrum",
     "ScoreWeights",
     "UrnModel",
     "ValidationError",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import simlab
 from .artifacts import dump, read_object
-from .corpus import build_corpus, compute_statistics, stats_from_json, stats_to_json
+from .corpus import _census_bytes, build_corpus, compute_statistics, stats_from_json, stats_to_json
 from .errors import ModelError, NormalizationError, ValidationError
 from .figures import RepetitionFigure, figure_from_comparison, parse_figure
 from .scoring import odds_of_fit, score_to_json
@@ -163,6 +163,9 @@ def _cmd_stats(args) -> int:
             texts.append(policy.normalize(Path(path).read_bytes()))
         except NormalizationError as exc:
             raise NormalizationError(f"{path}: {exc}", exc.offset) from exc
+    letters = sum(text.size for text in texts)
+    _check_fits_in_memory({f"{letters} letters censused to --rmax {args.rmax}":
+                           _census_bytes(letters, policy.alphabet_size, args.rmax)})
     corpus = build_corpus(texts, policy.alphabet_size)
     stats = compute_statistics(corpus, r_max=args.rmax)
     _write_artifact(args.out, stats_to_json(stats, **_stamp(args)))
@@ -274,12 +277,12 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = read_object(Path(args.config).read_bytes(), "experiment config")
     config = simlab.ExperimentConfig.from_dict(doc)
-    # The census takes about 8.5 bytes a corpus letter, and the traffic
-    # under 7 bytes a message cell, beside a byte a corpus letter.
+    # The traffic takes under 7 bytes a message cell, beside a byte a corpus letter.
     letters = config.corpus_size if config.urn == "from-corpus" else 0
     length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
     _check_fits_in_memory({
-        f"corpus_size {letters} letters": 17 * letters // 2,
+        f"corpus_size {letters} letters":
+            _census_bytes(letters, config.language.alphabet_size, config.r_max),
         f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells":
             letters + 7 * config.n_pairs * length[1],
     })

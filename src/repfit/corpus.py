@@ -32,8 +32,10 @@ temporary is chunk-sized and the peak is about 8 bytes per letter for
 one-word keys.  A large corpus of one-word keys is censused in parts, one
 thread per part (see apparent_counts); the parts share the one key array,
 and each thread adds its own chunk-sized temporaries, about 1 MB.  Longer
-keys are sorted by a lexsort over 16-bit pieces, in one part, which adds
-16 bytes per word and 8 for the permutation (40 at two words).
+keys are sorted by a lexsort over 16-bit pieces, in one part: the keys
+with their pieces or their permuted copies, and the permutation, take 16
+bytes per word and 8 more a letter (40 at two words).
+_census_bytes states this rule, which the command line checks before a census.
 
 Card accounting for the urn model: each comparison consumes one card per
 flanked run plus one card per remaining no-coincidence cell, so the corpus
@@ -51,7 +53,7 @@ import numpy as np
 
 from .artifacts import INT64, INT64_ARRAY, STRING, dump, read_fields, read_object
 from .errors import ModelError, ValidationError
-from .rng import _cpus, _in_threads, _parts
+from .rng import _SAMPLE_CHUNK as _CHUNK, _cpus, _in_threads, _parts
 
 __all__ = [
     "CircularCorpus",
@@ -66,9 +68,21 @@ __all__ = [
 ]
 
 _WORD_BITS = 64
-# Positions packed, or adjacencies counted, per step: a chunk of keys stays
-# in cache while every symbol column or every order r is applied to it.
-_CHUNK = 1 << 16
+
+
+def _key_layout(alphabet_size: int, r_max: int) -> tuple[int, int]:
+    """Bits per symbol and uint64 words per key of the packed r_max-grams."""
+    bits = max(1, (alphabet_size - 1).bit_length())
+    return bits, -(-bits * r_max // _WORD_BITS)
+
+
+def _census_bytes(n_letters: int, alphabet_size: int, r_max: int) -> int:
+    """Peak bytes of a census beyond the letter codes: 8 a letter for one-word
+    keys, 16 * w + 8 for w >= 2 words (the keys, the lexsort's order and the
+    permuted keys), and 2 MB a CPU for the chunk-sized temporaries."""
+    words = _key_layout(alphabet_size, r_max)[1]
+    per_letter = 8 if words <= 1 else 16 * words + 8
+    return per_letter * n_letters + (_cpus() << 21)
 
 
 @dataclass(frozen=True)
@@ -258,9 +272,9 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
         raise ValidationError(f"r_max must be below the corpus length ({r_max} >= {n})")
 
     c = corpus.alphabet_size
-    bits = max(1, (c - 1).bit_length())
+    bits, n_words = _key_layout(c, r_max)
     symbols = corpus.codes.astype(np.min_scalar_type(c - 1), copy=False)
-    words = [np.zeros(n, dtype=np.uint64) for _ in range(-(-bits * r_max // _WORD_BITS))]
+    words = [np.zeros(n, dtype=np.uint64) for _ in range(n_words)]
     parts = _parts(n, n, 1 if len(words) > 1 or c == 1 else _cpus())
     _in_threads([partial(_pack, symbols, bits, r_max, words, lo, hi) for lo, hi in parts])
     if len(words) == 1:

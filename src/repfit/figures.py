@@ -7,23 +7,21 @@ figure.  Maximal runs of ``X`` cells are the figure's repeats; a run of
 length r is an r-gramme repeat.  Everything downstream (urn models, odds
 scoring) consumes a figure only through its overlap and its run spectrum.
 
-All types in this module are immutable after construction and safe to share
-across threads.
+Figures are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyComparisonError, FigureParseError, ValidationError
+from .errors import EmptyComparisonError, FigureParseError
 
 __all__ = [
     "RepetitionFigure",
-    "RunSpectrum",
     "figure_from_comparison",
     "parse_figure",
     "run_spectrum",
@@ -55,46 +53,6 @@ class RepetitionFigure:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class RunSpectrum:
-    """Counts of maximal X-runs by exact length.
-
-    ``counts[r]`` is the number of maximal runs of exactly r consecutive
-    X cells.  Runs touching a figure end count at their visible length.
-    Zero entries are dropped so equal spectra compare equal.
-    """
-
-    counts: Mapping[int, int]
-
-    def __post_init__(self):
-        cleaned: dict[int, int] = {}
-        for r, k in self.counts.items():
-            if r < 1 or int(r) != r:
-                raise ValidationError(f"run length must be a positive integer, got {r!r}")
-            if k < 0 or int(k) != k:
-                raise ValidationError(f"run count for length {r} must be a non-negative integer, got {k!r}")
-            if k:
-                cleaned[int(r)] = int(k)
-        object.__setattr__(self, "counts", cleaned)
-
-    @classmethod
-    def _of_valid(cls, counts: dict[int, int]) -> "RunSpectrum":
-        """A spectrum of counts already known to be positive integers, taken
-        as they are."""
-        spectrum = object.__new__(cls)
-        object.__setattr__(spectrum, "counts", counts)
-        return spectrum
-
-    def items(self):
-        return self.counts.items()
-
-    @property
-    def cells_with_terminators(self) -> int:
-        """Sum of (r + 1) * k_r: cells each run occupies once its terminating
-        no-coincidence cell is charged to it."""
-        return sum((r + 1) * k for r, k in self.counts.items())
-
-
 def parse_figure(text: str) -> RepetitionFigure:
     """Parse a plain X/O string into a figure.
 
@@ -111,14 +69,16 @@ def parse_figure(text: str) -> RepetitionFigure:
     return RepetitionFigure(text)
 
 
-def run_spectrum(figure: RepetitionFigure) -> RunSpectrum:
-    """Count the figure's maximal X-runs by exact length, keyed in order of
-    first appearance, as a left-to-right scan would."""
+def run_spectrum(figure: RepetitionFigure) -> dict[int, int]:
+    """The figure's run spectrum {r: k_r}, its maximal X-runs counted by
+    exact length r (visible length at a figure end), keyed in order of first
+    appearance as a left-to-right scan would.  It is valid by construction:
+    spectra written by hand are checked by the proportions of repfit.scoring."""
     runs = figure.cells.encode("utf-8", "surrogatepass").translate(_X_ONLY).split()
     counts: dict[int, int] = {}
     for r in map(len, runs):
         counts[r] = counts.get(r, 0) + 1
-    return RunSpectrum._of_valid(counts)
+    return counts
 
 
 def _letters(message: Sequence) -> np.ndarray:

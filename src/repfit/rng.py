@@ -17,9 +17,10 @@ from .errors import ValidationError
 # Fewest cells per thread part: below this, starting a thread costs more
 # than the second core saves.
 _MIN_PART = 1 << 20
-# Uniforms a categorical fill draws at a time, kept in cache across its one
-# pass per cdf entry: the urn sampler's cards at a time, and the sum over a
-# sampled text's fill jobs (half of it for each of traffic's two texts).
+# Values worked per step, 2^16 of 8 bytes, kept in cache across many passes:
+# a categorical fill's uniforms, one pass per cdf entry (the urn sampler's
+# cards, or a sampled text's fill jobs in sum, half each for traffic's two
+# texts), and the census's keys, one per symbol column packed or order counted.
 _SAMPLE_CHUNK = 1 << 16
 
 

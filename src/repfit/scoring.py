@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import dump
 from .errors import ModelError, ValidationError
-from .figures import RepetitionFigure, RunSpectrum, run_spectrum
+from .figures import RepetitionFigure, run_spectrum
 from .urn import UrnModel
 
 __all__ = [
@@ -134,19 +134,33 @@ def weights(urn: UrnModel, log_base: str = "nat", floor: float | None = None) ->
     return cached
 
 
-def _check_spectrum_fits(spectrum: RunSpectrum, overlap: int) -> int:
+def _check_spectrum_fits(spectrum: Mapping[int, int], overlap: int) -> tuple[list, int]:
+    """A spectrum's nonzero runs as (r, k_r) int pairs in key order, and the
+    L + 1 - sum (r+1)*k_r cells left to no-repeat cards.  Spectra enter the
+    program here, through the two proportions, unless figures.run_spectrum
+    made them: run lengths must be whole numbers >= 1 and counts >= 0."""
+    runs = []
+    for r, k in spectrum.items():
+        if r < 1 or int(r) != r:
+            raise ValidationError(f"run length must be a positive integer, got {r!r}")
+        if k < 0 or int(k) != k:
+            raise ValidationError(
+                f"run count for length {r} must be a non-negative integer, got {k!r}"
+            )
+        if k:
+            runs.append((int(r), int(k)))
     if overlap < 0:
         raise ValidationError(f"overlap must be >= 0, got {overlap}")
-    used = spectrum.cells_with_terminators
+    used = sum((r + 1) * k for r, k in runs)
     if used > overlap + 1:
         raise ValidationError(
             f"spectrum needs {used} cells (runs plus terminators) "
             f"but the overlap admits only {overlap + 1}"
         )
-    return overlap + 1 - used
+    return runs, overlap + 1 - used
 
 
-def right_relevant_proportion(urn: UrnModel, spectrum: RunSpectrum, overlap: int) -> float:
+def right_relevant_proportion(urn: UrnModel, spectrum: Mapping[int, int], overlap: int) -> float:
     """Fraction of right comparisons showing exactly this figure.
 
     (1 + sum r*alpha_r) * A^(L + 1 - sum (r+1)k_r) * prod alpha_r^k_r.
@@ -154,13 +168,15 @@ def right_relevant_proportion(urn: UrnModel, spectrum: RunSpectrum, overlap: int
     overshoot; without it the value is the raw probability that a completed
     drawing session spells out this figure.
     """
-    value = urn.no_repeat ** _check_spectrum_fits(spectrum, overlap)
-    for r, k in spectrum.items():
+    runs, exponent = _check_spectrum_fits(spectrum, overlap)
+    value = urn.no_repeat ** exponent
+    for r, k in runs:
         value *= urn.alpha.get(r, 0.0) ** k
     return value * (1.0 + urn.mean_extra_cells)
 
 
-def wrong_relevant_proportion(alphabet_size: int, spectrum: RunSpectrum, overlap: int) -> float:
+def wrong_relevant_proportion(alphabet_size: int, spectrum: Mapping[int, int],
+                              overlap: int) -> float:
     """Fraction of wrong comparisons showing exactly this figure.
 
     The right-proportion form evaluated on the flat-random urn:
@@ -170,9 +186,9 @@ def wrong_relevant_proportion(alphabet_size: int, spectrum: RunSpectrum, overlap
     c = alphabet_size
     if c < 2:
         raise ValidationError(f"alphabet size must be >= 2, got {c}")
-    exponent = _check_spectrum_fits(spectrum, overlap)
+    runs, exponent = _check_spectrum_fits(spectrum, overlap)
     value = (c / (c - 1)) * ((c - 1) / c) ** exponent
-    for r, k in spectrum.items():
+    for r, k in runs:
         value *= ((c - 1) / c ** (r + 1)) ** k
     return value
 
@@ -209,7 +225,7 @@ def odds_of_fit(
         raise ValidationError(f"prior log-odds must be finite, got {prior_log_odds}")
     # mu_for only for the lengths the urn lacks: the method call costs.
     mu = w.mu
-    run_evidence = sum((mu[r] if r in mu else w.mu_for(r)) * k for r, k in spectrum.counts.items())
+    run_evidence = sum((mu[r] if r in mu else w.mu_for(r)) * k for r, k in spectrum.items())
     evidence, log_odds, posterior = _combine(w, prior_log_odds, run_evidence, figure.length)
     # In field order: positional arguments cost less per call than keywords.
     return FitScore(prior_log_odds, evidence, w.correction, log_odds, float(posterior), log_base)

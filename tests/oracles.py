@@ -101,6 +101,12 @@ def repeated_letters(fit) -> int:
     return sum(r * k for r, k in fit.items())
 
 
+def cells_with_terminators(spectrum) -> int:
+    """Sum of (r + 1) * k_r: the cells a spectrum's runs occupy once each
+    run's terminating no-coincidence cell is charged to it."""
+    return sum((r + 1) * k for r, k in spectrum.items())
+
+
 def figure_of(spectrum, overlap: int) -> RepetitionFigure:
     """A figure of the given overlap with this run spectrum: every run and its
     terminating O, in the spectrum's key order, then O cells up to the

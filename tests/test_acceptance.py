@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from repfit.corpus import actual_counts, apparent_counts, build_corpus
-from repfit.figures import RunSpectrum, parse_figure, run_spectrum
+from repfit.figures import parse_figure, run_spectrum
 from repfit.scoring import (
     odds_of_fit,
     right_relevant_proportion,
@@ -32,6 +32,7 @@ from oracles import (
     actual_oracle,
     apparent_oracle,
     block_probability,
+    cells_with_terminators,
     completing_figures,
     feasible_spectra,
     figure_of,
@@ -97,7 +98,7 @@ def test_criterion_03_hatted_closure():
         length = rng.randrange(1, 150)
         cells = "".join("X" if rng.random() < 0.3 else "O" for _ in range(length))
         figure = parse_figure(cells)
-        assert max(run_spectrum(figure).counts, default=0) <= max(urn.alpha)
+        assert max(run_spectrum(figure), default=0) <= max(urn.alpha)
         prior = rng.uniform(-4.0, 4.0)
         score = odds_of_fit(urn, figure=figure, prior_log_odds=prior)
         worst_rel = max(worst_rel, abs(math.exp(score.log_odds - prior) - 1.0))
@@ -190,7 +191,7 @@ def test_criterion_06_wrong_model_spectra():
     worst_z = 0.0
     for spectrum in feasible_spectra(overlap):
         p = spectrum_multiplicity(spectrum, overlap) * wrong_relevant_proportion(
-            c, RunSpectrum(spectrum), overlap
+            c, spectrum, overlap
         )
         expected = trials * p
         if expected < 100:
@@ -248,10 +249,10 @@ def test_criterion_08_consistency_identity():
         alpha = {r + 1: x * total / sum(raw) for r, x in enumerate(raw)}
         urn = UrnModel(alpha=alpha, no_repeat=1.0 - total,
                        alphabet_size=rng.choice([2, 3, 4, 26, 30]))
-        spectrum = RunSpectrum({r: rng.randrange(0, 4) for r in alpha if rng.random() < 0.7})
+        spectrum = {r: rng.randrange(0, 4) for r in alpha if rng.random() < 0.7}
         # An empty spectrum may draw overlap -1, which no figure has: such a
         # triple is scored at overlap 0.
-        overlap = max(spectrum.cells_with_terminators - 1 + rng.randrange(0, 80), 0)
+        overlap = max(cells_with_terminators(spectrum) - 1 + rng.randrange(0, 80), 0)
         prior = rng.uniform(-3.0, 3.0)
         score = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=prior)
         direct = math.log(

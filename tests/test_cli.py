@@ -484,8 +484,8 @@ def test_sample_count_beyond_memory_exits_3_before_drawing(tmp_path, capsys, mon
 ])
 def test_simulate_beyond_memory_exits_3_before_drawing(tmp_path, capsys, monkeypatch, sizes,
                                                        names):
-    # The traffic takes under 7 bytes a message cell and the census about
-    # 8.5 a corpus letter: terabytes here.
+    # The traffic takes under 7 bytes a message cell and the census at least
+    # 8 a corpus letter: terabytes here.
     def experiment(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
@@ -496,6 +496,36 @@ def test_simulate_beyond_memory_exits_3_before_drawing(tmp_path, capsys, monkeyp
     code, out, err = run(capsys, "simulate", "--config", config)
     assert code == 3
     assert all(name in err for name in names) and "memory" in err and out == ""
+
+
+def test_simulate_census_of_two_word_keys_beyond_memory_exits_3(tmp_path, capsys,
+                                                                monkeypatch):
+    # At c = 26 the default r_max of 16 packs two-word keys, whose census
+    # takes 40 bytes a letter: twice the memory here, where 8.5 would pass.
+    def experiment(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(simlab, "calibration_experiment", experiment)
+    letters = repfit.cli._physical_memory() // 20
+    doc = {"language": {"c": 26}, "corpus_size": letters, "n_pairs": 100, "overlap": 10,
+           "fraction_right": 0.5, "seed": 1}
+    config = write(tmp_path, "config.json", json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--config", config)
+    assert code == 3
+    assert f"corpus_size {letters} letters" in err and "memory" in err and out == ""
+
+
+def test_stats_beyond_memory_exits_3_naming_rmax_before_the_census(tmp_path, capsys,
+                                                                   monkeypatch):
+    def census(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(repfit.cli, "compute_statistics", census)
+    monkeypatch.setattr(repfit.cli, "_physical_memory", lambda: 1 << 16)
+    corpus = write(tmp_path, "corpus.txt", "ABRACADABRA" * 100)
+    code, out, err = run(capsys, "stats", corpus, "--rmax", "5")
+    assert code == 3
+    assert "1100 letters censused to --rmax 5" in err and "memory" in err and out == ""
 
 
 def test_stats_with_more_pairs_than_the_circle_has_exit_3_naming_m(tmp_path, capsys):

@@ -446,6 +446,15 @@ def test_one_word_census_peaks_at_ten_bytes_per_letter():
     assert _peak_bytes(apparent_counts, corpus, 9) <= 10 * n
 
 
+@pytest.mark.parametrize("c, r_max, words", [(26, 12, 1), (26, 16, 2), (26, 40, 4)])
+def test_census_bytes_bound_the_census_peak(c, r_max, words):
+    n = 1_000_000
+    corpus = build_corpus([np.random.default_rng(11).integers(0, c, size=n, dtype=np.uint8)], c)
+    assert corpus_module._key_layout(c, r_max)[1] == words
+    peak = _peak_bytes(compute_statistics, corpus, r_max)
+    assert peak <= corpus_module._census_bytes(n, c, r_max)
+
+
 def test_build_corpus_of_byte_texts_peaks_at_two_bytes_per_letter():
     rng = np.random.default_rng(10)
     texts = [rng.integers(0, 26, size=250_000, dtype=np.uint8) for _ in range(4)]

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from repfit.errors import EmptyComparisonError, FigureParseError, ValidationError
 from repfit.figures import (
     RepetitionFigure,
-    RunSpectrum,
     figure_from_comparison,
     parse_figure,
     run_spectrum,
 )
+from repfit.scoring import right_relevant_proportion, wrong_relevant_proportion
+from repfit.urn import hatted_urn
 
 from oracles import (
     Alignment,
@@ -60,10 +61,10 @@ def test_serialize_round_trip(text):
 
 
 def test_run_spectrum_examples():
-    assert run_spectrum(parse_figure("XXXXOOOOXXOO")) == RunSpectrum({4: 1, 2: 1})
-    assert run_spectrum(parse_figure("OOOO")) == RunSpectrum({})
+    assert run_spectrum(parse_figure("XXXXOOOOXXOO")) == {4: 1, 2: 1}
+    assert run_spectrum(parse_figure("OOOO")) == {}
     # Runs touching the figure ends count at their visible length.
-    assert run_spectrum(parse_figure("XOX")) == RunSpectrum({1: 2})
+    assert run_spectrum(parse_figure("XOX")) == {1: 2}
 
 
 @given(figure_strings)
@@ -76,15 +77,19 @@ def test_run_spectrum_matches_scan_oracle_on_random_figures():
     rng = random.Random(0xF16)
     for _ in range(10_000):
         text = "".join(rng.choice("XO") for _ in range(rng.randrange(0, 40)))
-        assert run_spectrum(parse_figure(text)).counts == scan_run_spectrum(text)
+        assert run_spectrum(parse_figure(text)) == scan_run_spectrum(text)
 
 
 def test_spectrum_validation():
-    with pytest.raises(ValidationError):
-        RunSpectrum({0: 1})
-    with pytest.raises(ValidationError):
-        RunSpectrum({2: -1})
-    assert RunSpectrum({3: 0}).counts == {}
+    # Hand-written spectra enter the program through the two proportions.
+    length = "run length must be a positive integer"
+    count = "run count for length 2 must be a non-negative integer"
+    for spectrum, message in [({0: 1}, length), ({2: -1}, count), ({1.5: 1}, length),
+                              ({2: 0.5}, count)]:
+        with pytest.raises(ValidationError, match=message):
+            right_relevant_proportion(hatted_urn(26), spectrum, 10)
+        with pytest.raises(ValidationError, match=message):
+            wrong_relevant_proportion(26, spectrum, 10)
 
 
 def test_comparison_positionwise_equality():
@@ -222,7 +227,7 @@ def test_alignment_serialization():
 def test_draws_needed():
     # Overlap 105 with a tetragramme, two bigrammes and fifteen single
     # letters repeating: 105 - 23 + 1.
-    spectrum = RunSpectrum({4: 1, 2: 2, 1: 15})
+    spectrum = {4: 1, 2: 2, 1: 15}
     assert repeated_letters(spectrum) == 23
     body = "XXXXO" + "XXO" + "XXO" + "XO" * 15
     figure = parse_figure(body + "O" * (105 - len(body)))

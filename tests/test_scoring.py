@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repfit.corpus import build_corpus, compute_statistics
 from repfit.errors import ModelError, ValidationError
-from repfit.figures import RunSpectrum, figure_from_comparison, parse_figure
+from repfit.figures import figure_from_comparison, parse_figure
 from repfit.scoring import (
     FitScore,
     ScoreWeights,
@@ -30,6 +30,7 @@ from repfit.urn import (
 )
 
 from oracles import (
+    cells_with_terminators,
     completing_figures,
     figure_of,
     repeated_letters,
@@ -54,10 +55,9 @@ def random_urn(
     return UrnModel(alpha=alpha, no_repeat=1.0 - total, alphabet_size=c)
 
 
-def random_spectrum(rng: random.Random, urn: UrnModel) -> tuple[RunSpectrum, int]:
-    counts = {r: rng.randrange(0, 4) for r in urn.alpha if rng.random() < 0.7}
-    spectrum = RunSpectrum(counts)
-    overlap = spectrum.cells_with_terminators - 1 + rng.randrange(0, 80)
+def random_spectrum(rng: random.Random, urn: UrnModel) -> tuple[dict[int, int], int]:
+    spectrum = {r: rng.randrange(0, 4) for r in urn.alpha if rng.random() < 0.7}
+    overlap = cells_with_terminators(spectrum) - 1 + rng.randrange(0, 80)
     return spectrum, max(overlap, 0)
 
 
@@ -75,7 +75,7 @@ def test_mu_plug_in_example():
     expected = math.log(0.125 * 26**3 / 25) - 3 * math.log(26 * 0.875 / 25)
     assert w.mu[2] == pytest.approx(expected, rel=1e-12)
     # Cross-check: the log form reproduces the explicit odds product.
-    spectrum = RunSpectrum({2: 2})
+    spectrum = {2: 2}
     overlap = 9
     score = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=math.log(3.0))
     direct = (
@@ -105,7 +105,7 @@ def test_nu_approximation_error_at_the_domain_edge():
 
 def test_right_relevant_proportion_empty_spectrum():
     urn = hatted_urn(26)
-    value = right_relevant_proportion(urn, RunSpectrum({}), 25)
+    value = right_relevant_proportion(urn, {}, 25)
     expected = (1.0 + urn.mean_extra_cells) * urn.no_repeat**26
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx((26 / 25) * (25 / 26) ** 26, rel=1e-9)
@@ -114,7 +114,7 @@ def test_right_relevant_proportion_empty_spectrum():
 def test_right_relevant_proportion_symbolic_example():
     q2, q4 = 0.06, 0.01
     urn = UrnModel(alpha={2: q2, 4: q4}, no_repeat=1 - q2 - q4, alphabet_size=26)
-    value = right_relevant_proportion(urn, RunSpectrum({4: 1, 2: 1}), 12)
+    value = right_relevant_proportion(urn, {4: 1, 2: 1}, 12)
     expected = (1 + 2 * q2 + 4 * q4) * (1 - q2 - q4) ** 5 * q2 * q4
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -127,7 +127,7 @@ def test_right_relevant_prefactor_is_the_renewal_normalization():
     overlap = 8
     total = 0.0
     for cells in completing_figures(overlap):
-        spectrum = RunSpectrum(scan_run_spectrum(cells))
+        spectrum = scan_run_spectrum(cells)
         # The drawn figure carries its trailing O; the genuine figure is one
         # cell shorter.
         total += right_relevant_proportion(urn, spectrum, overlap - 1) / (1 + urn.mean_extra_cells)
@@ -136,7 +136,7 @@ def test_right_relevant_prefactor_is_the_renewal_normalization():
 
 def test_right_relevant_proportion_rejects_oversized_spectrum():
     # Two tetragrammes and their terminators fill 10 cells; overlap 8 admits 9.
-    spectrum = RunSpectrum({4: 2})
+    spectrum = {4: 2}
     with pytest.raises(ValidationError, match="needs 10 cells .* admits only 9"):
         right_relevant_proportion(hatted_urn(26), spectrum, 8)
     with pytest.raises(ValidationError, match="needs 10 cells .* admits only 9"):
@@ -145,9 +145,9 @@ def test_right_relevant_proportion_rejects_oversized_spectrum():
     assert wrong_relevant_proportion(26, spectrum, 9) > 0
     # No figure has a negative overlap, not even one without runs.
     with pytest.raises(ValidationError, match="overlap must be >= 0, got -1"):
-        right_relevant_proportion(hatted_urn(26), RunSpectrum({}), -1)
+        right_relevant_proportion(hatted_urn(26), {}, -1)
     with pytest.raises(ValidationError, match="overlap must be >= 0, got -1"):
-        wrong_relevant_proportion(26, RunSpectrum({}), -1)
+        wrong_relevant_proportion(26, {}, -1)
 
 
 def test_wrong_relevant_proportion_is_the_iid_figure_probability():
@@ -155,7 +155,7 @@ def test_wrong_relevant_proportion_is_the_iid_figure_probability():
     c, overlap = 2, 4
     for cells in itertools.product("XO", repeat=overlap):
         figure = "".join(cells)
-        spectrum = RunSpectrum(scan_run_spectrum(figure))
+        spectrum = scan_run_spectrum(figure)
         matches = 0
         for a in itertools.product(range(c), repeat=overlap):
             for b in itertools.product(range(c), repeat=overlap):
@@ -166,21 +166,19 @@ def test_wrong_relevant_proportion_is_the_iid_figure_probability():
 
 
 def test_wrong_relevant_proportion_examples():
-    assert wrong_relevant_proportion(5, RunSpectrum({}), 0) == pytest.approx(1.0, rel=1e-15)
+    assert wrong_relevant_proportion(5, {}, 0) == pytest.approx(1.0, rel=1e-15)
     # Single coincidence in an overlap of two, c = 2: figures XO and OX each
     # carry probability 1/4.
-    assert wrong_relevant_proportion(2, RunSpectrum({1: 1}), 2) == pytest.approx(0.25, rel=1e-12)
+    assert wrong_relevant_proportion(2, {1: 1}, 2) == pytest.approx(0.25, rel=1e-12)
     # One bigramme in an overlap of three, c = 2: XXO, OXX at 1/8 each.
-    assert wrong_relevant_proportion(2, RunSpectrum({2: 1}), 3) == pytest.approx(0.125, rel=1e-12)
+    assert wrong_relevant_proportion(2, {2: 1}, 3) == pytest.approx(0.125, rel=1e-12)
 
 
 def test_wrong_relevant_equals_relevance_ratio():
     rng = random.Random(5)
     for _ in range(200):
         overlap = rng.randrange(0, 40)
-        spectrum = RunSpectrum(
-            scan_run_spectrum("".join(rng.choice("XO") for _ in range(overlap)))
-        )
+        spectrum = scan_run_spectrum("".join(rng.choice("XO") for _ in range(overlap)))
         for c in (2, 4, 26):
             assert wrong_relevant_proportion(c, spectrum, overlap) == pytest.approx(
                 wrong_relevance_ratio(overlap, repeated_letters(spectrum), c), rel=1e-12
@@ -214,7 +212,7 @@ def test_hatted_urn_scores_everything_at_the_prior():
 
 def test_zero_overlap_discrepancy_is_the_correction_term():
     urn = UrnModel(alpha={1: 0.1, 2: 0.03}, no_repeat=0.87, alphabet_size=26)
-    score = odds_of_fit(urn, figure=figure_of(RunSpectrum({}), 0), prior_log_odds=0.7)
+    score = odds_of_fit(urn, figure=figure_of({}, 0), prior_log_odds=0.7)
     w = weights(urn)
     assert score.log_odds == pytest.approx(0.7 + w.correction, rel=1e-12)
     assert score.evidence == 0.0
@@ -226,8 +224,8 @@ def test_headline_fit_scores_finitely_and_consistently():
     rng = random.Random(8)
     corpus = build_corpus([[rng.randrange(26) for _ in range(30_000)]], 26)
     urn = urn_from_stats(compute_statistics(corpus, 9))
-    spectrum = RunSpectrum({4: 1, 2: 2, 1: 15})
-    assert all(urn.alpha.get(r, 0) > 0 for r in spectrum.counts)
+    spectrum = {4: 1, 2: 2, 1: 15}
+    assert all(urn.alpha.get(r, 0) > 0 for r in spectrum)
     prior = math.log(1 / 400)
     score = odds_of_fit(urn, figure=figure_of(spectrum, 105), prior_log_odds=prior)
     assert math.isfinite(score.log_odds)
@@ -252,13 +250,37 @@ def test_consistency_identity_on_random_inputs():
         assert math.isclose(score.log_odds - prior, direct, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def _whole_number_forms(n: int):
+    """n as an int, an int-valued float, numpy integers and, for 1, True."""
+    forms = [n, float(n), np.int64(n), np.uint8(n)]
+    return st.sampled_from(forms + [True] * (n == 1))
+
+
+@given(
+    st.dictionaries(st.integers(1, 8).flatmap(_whole_number_forms),
+                    st.integers(0, 3).flatmap(_whole_number_forms), max_size=6),
+    st.sampled_from([hatted_urn(2), hatted_urn(26),
+                     UrnModel(alpha={1: 0.1, 2: 0.03, 3: 0.01, 5: 1e-3}, no_repeat=0.859,
+                              alphabet_size=4)]),
+    st.integers(0, 30),
+)
+def test_proportions_read_a_spectrum_as_its_cleaned_form(spectrum, urn, spare):
+    cleaned = {int(r): int(k) for r, k in spectrum.items() if k}
+    overlap = max(cells_with_terminators(cleaned) - 1 + spare, 0)
+    c = urn.alphabet_size
+    assert float.hex(right_relevant_proportion(urn, spectrum, overlap)) == \
+        float.hex(right_relevant_proportion(urn, cleaned, overlap))
+    assert float.hex(wrong_relevant_proportion(c, spectrum, overlap)) == \
+        float.hex(wrong_relevant_proportion(c, cleaned, overlap))
+
+
 def test_log_odds_is_affine_in_counts_and_overlap():
     urn = UrnModel(alpha={1: 0.12, 2: 0.05, 3: 0.02}, no_repeat=0.81, alphabet_size=26)
     w = weights(urn)
-    base = odds_of_fit(urn, figure=figure_of(RunSpectrum({1: 2, 2: 1}), 40)).log_odds
-    bumped_k = odds_of_fit(urn, figure=figure_of(RunSpectrum({1: 3, 2: 1}), 40)).log_odds
+    base = odds_of_fit(urn, figure=figure_of({1: 2, 2: 1}, 40)).log_odds
+    bumped_k = odds_of_fit(urn, figure=figure_of({1: 3, 2: 1}, 40)).log_odds
     assert bumped_k - base == pytest.approx(w.mu[1], rel=1e-9)
-    bumped_l = odds_of_fit(urn, figure=figure_of(RunSpectrum({1: 2, 2: 1}), 41)).log_odds
+    bumped_l = odds_of_fit(urn, figure=figure_of({1: 2, 2: 1}, 41)).log_odds
     assert bumped_l - base == pytest.approx(-w.nu, rel=1e-9)
 
 
@@ -271,7 +293,7 @@ def test_deciban_weights_are_scaled_natural_weights():
     assert db.correction == pytest.approx(nat.correction * scale, rel=1e-12)
     for r in nat.mu:
         assert db.mu[r] == pytest.approx(nat.mu[r] * scale, rel=1e-12)
-    spectrum, overlap = RunSpectrum({1: 3, 4: 1}), 30
+    spectrum, overlap = {1: 3, 4: 1}, 30
     p_nat = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=0.5).posterior
     p_db = odds_of_fit(urn, figure=figure_of(spectrum, overlap), prior_log_odds=0.5 * scale,
                        log_base="db").posterior
@@ -280,7 +302,7 @@ def test_deciban_weights_are_scaled_natural_weights():
 
 def test_posterior_definition():
     urn = UrnModel(alpha={1: 0.1}, no_repeat=0.9, alphabet_size=26)
-    score = odds_of_fit(urn, figure=figure_of(RunSpectrum({1: 1}), 5), prior_log_odds=0.3)
+    score = odds_of_fit(urn, figure=figure_of({1: 1}, 5), prior_log_odds=0.3)
     q = math.exp(score.log_odds)
     assert score.posterior == pytest.approx(q / (1 + q), rel=1e-12)
     assert 0.0 < score.posterior < 1.0
@@ -290,13 +312,13 @@ def test_posterior_definition():
 def test_unknown_run_length_is_an_error_without_smoothing():
     urn = UrnModel(alpha={1: 0.1}, no_repeat=0.9, alphabet_size=26)
     with pytest.raises(ModelError, match="3-gramme"):
-        odds_of_fit(urn, figure=figure_of(RunSpectrum({3: 1}), 10))
+        odds_of_fit(urn, figure=figure_of({3: 1}, 10))
 
 
 def test_smoothing_floor_fills_missing_weights():
     urn = UrnModel(alpha={1: 0.1}, no_repeat=0.9, alphabet_size=26)
     floor = 1e-6
-    score = odds_of_fit(urn, figure=figure_of(RunSpectrum({3: 1}), 10), floor=floor)
+    score = odds_of_fit(urn, figure=figure_of({3: 1}, 10), floor=floor)
     w = weights(urn, floor=floor)
     expected_mu = math.log(floor * 26**4 / 25) + 4 * w.nu
     assert w.mu_for(3) == pytest.approx(expected_mu, rel=1e-12)
@@ -308,7 +330,7 @@ def test_smoothing_floor_fills_missing_weights():
 def test_score_input_validation():
     urn = hatted_urn(26)
     with pytest.raises(ValidationError, match="finite"):
-        odds_of_fit(urn, figure=figure_of(RunSpectrum({}), 5), prior_log_odds=math.inf)
+        odds_of_fit(urn, figure=figure_of({}, 5), prior_log_odds=math.inf)
     with pytest.raises(ValidationError):
         weights(urn, log_base="bits")
 
@@ -332,7 +354,7 @@ def test_odds_are_bit_equal_to_weights_recomputed_per_call(seed, c, unit, floor,
         assert weights(urn, unit, floor) == expected
         figure = parse_figure(text)
         try:
-            want = score_with_weights_oracle(expected, RunSpectrum(scan_run_spectrum(text)),
+            want = score_with_weights_oracle(expected, scan_run_spectrum(text),
                                              figure.length, prior)
         except ModelError:
             with pytest.raises(ModelError):
@@ -373,7 +395,7 @@ def test_odds_of_long_figures_equal_the_weights_oracle_field_for_field(
         # Each shift in 0..7 aligns all of b.
         figures = [figure_from_comparison(a, b, shift) for shift in (0, 3, 7)]
     for figure in figures:
-        spectrum = RunSpectrum(scan_run_spectrum(figure.cells))
+        spectrum = scan_run_spectrum(figure.cells)
         try:
             want = score_with_weights_oracle(expected, spectrum, figure.length, prior)
         except ModelError:
