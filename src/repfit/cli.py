@@ -4,8 +4,8 @@ Artifacts are JSON documents written atomically (temp file, then rename), so
 every command is idempotent on identical inputs; ``--reproducible`` drops the
 timestamp field for byte-identical reruns.
 
-Exit codes: 0 success, 2 usage error, 3 data/validation error,
-4 numeric/model error.
+Exit codes: 0 success, 2 usage error, 3 data/validation error or out of
+memory, 4 numeric/model error.
 """
 
 from __future__ import annotations
@@ -247,17 +247,13 @@ def _cmd_sample(args) -> int:
     per_figure = sys.getsizeof("") + args.overlap + sys.getsizeof(RepetitionFigure("")) + 8
     _check_fits_in_memory({f"--overlap {args.overlap} x --count {args.count} figures":
                            args.count * per_figure})
-    try:
-        figures, scrapped = sample_figures(
-            urn,
-            overlap=args.overlap,
-            count=args.count,
-            seed=args.seed,
-            keep_trailing_o=args.keep_trailing_o,
-        )
-    except MemoryError as exc:
-        raise ValidationError(f"--overlap {args.overlap} x --count {args.count} cells "
-                              "do not fit in memory") from exc
+    figures, scrapped = sample_figures(
+        urn,
+        overlap=args.overlap,
+        count=args.count,
+        seed=args.seed,
+        keep_trailing_o=args.keep_trailing_o,
+    )
     if args.out:
         doc = {
             "figures": [f.cells for f in figures],
@@ -382,6 +378,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"repfit: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        # Past _check_fits_in_memory, as under a cgroup limit below physical memory.
+        print(f"repfit {args.command}: out of memory", file=sys.stderr)
         return EXIT_DATA
 
 

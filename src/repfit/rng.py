@@ -1,8 +1,9 @@
 """Seed handling, draws and threads shared by the samplers and the census.
 
 This module owns the one categorical fill, which draws the letters of an
-i.i.d. text and the cards of an urn alike, and the one rule that cuts work
-into thread parts.
+i.i.d. text and the cards of an urn alike, the one rule that cuts work
+into thread parts, and the split of a power-of-two key stream: its parts
+fill whole 64-bit outputs, and numpy draws the few keys at either edge.
 """
 
 import copy
@@ -105,46 +106,35 @@ def _split_keys(rng: np.random.Generator, shape: tuple[int, ...], c: int,
     order, at once.
 
     For c = 2**b numpy's bounded draw rejects nothing: a key is the top b
-    bits of one 16-bit half of a 32-bit draw, low half first.  The 32-bit
-    draws are the value the bit generator buffers, if it holds one, and then
-    the low and the high half of each 64-bit output, so the other keys come
-    four to an output and split at whole outputs as rng._split's uniforms
-    do.  An odd count of 32-bit draws from outputs leaves the last output's
-    high half buffered.
+    bits of one 16-bit half of a 32-bit draw, low half first, so keys come
+    four to a 64-bit output.  The parts cover whole outputs only, split as
+    rng._split's uniforms are; numpy draws the keys at either edge: first
+    those of a 32-bit value the bit generator buffers, then the last one to
+    four keys, leaving the buffer as its own draw of them all would.
     """
     keys = np.empty(shape, dtype=np.int16)
-    flat = keys.reshape(-1).view(np.uint16)
-    if not flat.size:
-        return keys, []
-    shift = 17 - c.bit_length()
-    bit = _advanceable(rng)
-    state = bit.state
-    head = min(flat.size, 2) if state["has_uint32"] else 0
-    flat[:head] = [(state["uinteger"] & 0xFFFF) >> shift, state["uinteger"] >> 16 >> shift][:head]
-    tail = flat[head:]
-    outputs = -(-tail.size // 4)
+    flat = keys.reshape(-1)
+    head = min(flat.size, 2) if _advanceable(rng).state["has_uint32"] else 0
+    flat[:head] = rng.integers(0, c, head, dtype=np.int16)
+    outputs = max(0, flat.size - head - 1) // 4
     parts = _parts(outputs, flat.size, cpus)
     gens = _split(rng, [hi - lo for lo, hi in parts])
-    if outputs:
-        last = copy.deepcopy(gens[-1].bit_generator)
-        last.advance(outputs - parts[-1][0] - 1)
-        buffered = {"has_uint32": -(-tail.size // 2) % 2, "uinteger": int(last.random_raw()) >> 32}
-    else:
-        buffered = {"has_uint32": 0}
-    bit.state = {**bit.state, **buffered}
+    tail = head + 4 * outputs
+    flat[tail:] = rng.integers(0, c, flat.size - tail, dtype=np.int16)
+    body = flat[head:tail].view(np.uint16)
     # A part draws a 64th of its outputs at a time, from 8 to 128 KB of them.
     step = min(max(outputs // len(parts) // 64, 1 << 10), 1 << 14)
-    return keys, [partial(_fill_keys, tail[4 * lo : 4 * hi], gen.bit_generator, shift, step)
+    return keys, [partial(_fill_keys, body[4 * lo : 4 * hi], gen.bit_generator, c, step)
                   for (lo, hi), gen in zip(parts, gens)]
 
 
-def _fill_keys(keys: np.ndarray, bit: np.random.BitGenerator, shift: int, step: int) -> None:
-    """Each uint16 of ``keys`` the next little-endian 16-bit half of ``bit``'s
-    64-bit outputs, shifted right by ``shift``, ``step`` outputs at a time."""
+def _fill_keys(keys: np.ndarray, bit: np.random.BitGenerator, c: int, step: int) -> None:
+    """Each uint16 of ``keys`` the top log2(c) bits of the next little-endian
+    16-bit half of ``bit``'s 64-bit outputs, ``step`` outputs at a time."""
     for lo in range(0, keys.size, 4 * step):
         part = keys[lo : lo + 4 * step]
-        raw = bit.random_raw(-(-part.size // 4)).astype("<u8", copy=False)
-        np.right_shift(raw.view("<u2")[: part.size], shift, out=part)
+        raw = bit.random_raw(part.size // 4).astype("<u8", copy=False)
+        np.right_shift(raw.view("<u2"), 17 - c.bit_length(), out=part)
 
 
 def _cpus() -> int:

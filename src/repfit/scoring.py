@@ -33,7 +33,7 @@ import numpy as np
 from .artifacts import dump
 from .errors import ModelError, ValidationError
 from .figures import RepetitionFigure, run_spectrum
-from .urn import UrnModel
+from .urn import UrnModel, _at_least
 
 __all__ = [
     "FitScore",
@@ -141,9 +141,9 @@ def _check_spectrum_fits(spectrum: Mapping[int, int], overlap: int) -> tuple[lis
     made them: run lengths must be whole numbers >= 1 and counts >= 0."""
     runs = []
     for r, k in spectrum.items():
-        if r < 1 or int(r) != r:
+        if not _at_least(r, 1, whole=True):
             raise ValidationError(f"run length must be a positive integer, got {r!r}")
-        if k < 0 or int(k) != k:
+        if not _at_least(k, 0, whole=True):
             raise ValidationError(
                 f"run count for length {r} must be a non-negative integer, got {k!r}"
             )

@@ -47,6 +47,15 @@ __all__ = [
 ]
 
 
+def _at_least(x, least: int, whole: bool) -> bool:
+    """Whether ``x`` is a number >= ``least``, whole or else finite; False,
+    not an error of its own type, for strings, NaN and infinities."""
+    try:
+        return x >= least and (int(x) == x if whole else math.isfinite(x))
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+
+
 @dataclass(frozen=True)
 class UrnModel:
     """Card proportions of one urn, paired with an alphabet size.
@@ -63,9 +72,9 @@ class UrnModel:
     def __post_init__(self):
         cleaned: dict[int, float] = {}
         for r, a in self.alpha.items():
-            if int(r) != r or r < 1:
+            if not _at_least(r, 1, whole=True):
                 raise ValidationError(f"card run length must be a positive integer, got {r!r}")
-            if a < 0 or not math.isfinite(a):
+            if not _at_least(a, 0, whole=False):
                 raise ValidationError(f"card proportion for r={r} must be finite and >= 0, got {a}")
             if a > 0:
                 cleaned[int(r)] = float(a)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -528,6 +529,32 @@ def test_stats_beyond_memory_exits_3_naming_rmax_before_the_census(tmp_path, cap
     assert "1100 letters censused to --rmax 5" in err and "memory" in err and out == ""
 
 
+@pytest.mark.parametrize("command, owner, heavy", [
+    ("stats", repfit.cli, "compute_statistics"),
+    ("simulate", simlab, "calibration_experiment"),
+    ("sample", repfit.cli, "sample_figures"),
+])
+def test_memory_error_in_any_command_exits_3_with_no_artifact(tmp_path, capsys, monkeypatch,
+                                                              command, owner, heavy):
+    # A cgroup limit below physical memory passes the size checks, and the
+    # work itself then runs out.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(owner, heavy, exhausted)
+    inputs = {
+        "stats": [write(tmp_path, "corpus.txt", "ABRACADABRA")],
+        "simulate": ["--config", write(tmp_path, "config.json", json.dumps(FUZZ_DOCS["config"]))],
+        "sample": ["--urn", write(tmp_path, "urn.json", json.dumps(FUZZ_DOCS["urn"])),
+                   "--overlap", "5", "--count", "2"],
+    }[command]
+    out = tmp_path / "artifact.json"
+    code, stdout, err = run(capsys, command, *inputs, "--out", str(out))
+    assert code == 3
+    assert f"repfit {command}: out of memory" in err and stdout == ""
+    assert not out.exists() and not list(tmp_path.glob(".repfit-*"))
+
+
 def test_stats_with_more_pairs_than_the_circle_has_exit_3_naming_m(tmp_path, capsys):
     # M_1 = 100 equal-letter pairs among the N(N-1)/2 = 10 pairs of 5 letters.
     doc = {"N": 5, "c": 26, "r_max": 4, "M": [100, 100, 100, 100], "Nr": [0, 0]}
@@ -757,3 +784,62 @@ def test_fuzzed_artifact_and_config_fields_never_escape_or_print_nan(
         assert code in (0, 3, 4), (argv, doc, err.getvalue())
         if code == 0:
             assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), doc
+
+
+# Each command's fixed arguments, with "{name}" for an input file, and its
+# numeric flags.
+FLAG_COMMANDS = {
+    "stats": (["stats", "{corpus}"], ["--rmax"]),
+    "urn": (["urn", "--hatted"], ["--alphabet-size", "--rmax"]),
+    "score": (["score", "--urn", "{urn}", "--a", "{a}", "--b", "{b}", "--alphabet", "ABCD"],
+              ["--shift", "--prior-log-odds", "--smoothing-floor"]),
+    "score figure": (["score", "--urn", "{urn}", "--figure", "XXXXXXXOXO"],
+                     ["--prior-log-odds", "--smoothing-floor"]),
+    "sample": (["sample", "--urn", "{urn}"], ["--overlap", "--count", "--seed"]),
+}
+FLAG_INPUTS = {"corpus": "ABRACADABRA" * 3, "urn": json.dumps(FUZZ_DOCS["urn"]),
+               "a": "ABCDABCDABCD", "b": "ABDDABCAABCD"}
+# Small sizes, proportions, edges and values far past int64, the float range
+# or memory; None leaves the flag out.
+FLAG_VALUES = st.none() | st.integers(-3, 40) | st.floats(0, 1) | st.floats() | st.sampled_from(
+    [0, -1, 2**31, 2**62, 2**63, -(2**63), 10**400, math.nan, math.inf, -math.inf, 1e308, -1e308])
+
+
+def _small(r_max=1, overlap=1, count=1, **_):
+    # Sizes below 1 are rejected before any work; others must be small.
+    return min(r_max, overlap, count) < 1 or max(r_max, overlap, count) <= 40
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(sorted(FLAG_COMMANDS)), data=st.data())
+@example(command="score figure", data=None)
+def test_fuzzed_numeric_flags_never_escape_or_print_nan(tmp_path_factory, command, data):
+    fixed, flags = FLAG_COMMANDS[command]
+    values = [math.inf] * len(flags) if data is None else [data.draw(FLAG_VALUES) for _ in flags]
+    folder = tmp_path_factory.mktemp("flags")
+    for name, text in FLAG_INPUTS.items():
+        (folder / name).write_text(text)
+    out = folder / "artifact.json"
+    # --flag=value: argparse would read a separate -1e5 or -inf as a flag.
+    argv = ([str(folder / arg[1:-1]) if arg.startswith("{") else arg for arg in fixed]
+            + [f"{flag}={value!r}" for flag, value in zip(flags, values) if value is not None]
+            + ["--out", str(out)])
+
+    def only_small(real):
+        # A size past the 64 MB below must be rejected before the heavy call.
+        def call(*args, **kwargs):
+            assert _small(**kwargs), kwargs
+            return real(*args, **kwargs)
+        return call
+
+    stderr = io.StringIO()
+    with mock.patch.object(repfit.cli, "_physical_memory", lambda: 1 << 26), \
+            mock.patch.object(repfit.cli, "compute_statistics",
+                              only_small(repfit.cli.compute_statistics)), \
+            mock.patch.object(repfit.cli, "sample_figures", only_small(repfit.cli.sample_figures)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, stderr.getvalue())
+    if code == 0:
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text, argv

@@ -150,6 +150,27 @@ def test_right_relevant_proportion_rejects_oversized_spectrum():
         wrong_relevant_proportion(26, {}, -1)
 
 
+@pytest.mark.parametrize("spectrum, message", [
+    ({"2": 1}, "run length must be a positive integer, got '2'"),
+    ({math.nan: 1}, "run length must be a positive integer, got nan"),
+    ({math.inf: 1}, "run length must be a positive integer, got inf"),
+    ({2: "1"}, "run count for length 2 must be a non-negative integer, got '1'"),
+    ({2: math.nan}, "run count for length 2 must be a non-negative integer, got nan"),
+    ({2: math.inf}, "run count for length 2 must be a non-negative integer, got inf"),
+])
+def test_spectra_of_other_kinds_raise_validation_errors(spectrum, message):
+    # Strings, NaN and infinities used to escape as TypeError, ValueError
+    # and OverflowError.
+    with pytest.raises(ValidationError, match=message):
+        right_relevant_proportion(hatted_urn(26), spectrum, 10)
+    with pytest.raises(ValidationError, match=message):
+        wrong_relevant_proportion(26, spectrum, 10)
+    # Bool and numpy integers are whole numbers, as before.
+    for kind in (bool, np.int64):
+        assert right_relevant_proportion(hatted_urn(26), {kind(1): kind(1)}, 10) > 0
+        assert wrong_relevant_proportion(26, {kind(1): kind(1)}, 10) > 0
+
+
 def test_wrong_relevant_proportion_is_the_iid_figure_probability():
     # Exhaustive check against uniform independent letter pairs, c = 2.
     c, overlap = 2, 4

@@ -468,12 +468,13 @@ def test_blocked_scoring_equals_the_whole_matrix_oracle(
     # to one cell, each part _SAMPLE_CHUNK // overlap rows at a time: here 1,
     # 2 or 7 rows, or the real size, which holds a part in one block.  The
     # longest run scored is the longest of any part, and an unscorable run
-    # fails every part that meets one at the shortest.
+    # fails every part that meets one at the shortest.  An i.i.d. corpus is
+    # the same in one text as in 50 (see the test below), and one is faster.
     raw = np.random.default_rng(seed).random(c) + 0.05
     config = ExperimentConfig(
         LanguageModel(alphabet_size=c, letter_probs=raw / raw.sum()),
         corpus_size=500, n_pairs=20, overlap=overlap, fraction_right=0.5,
-        seed=seed, msg_len=overlap + shift, r_max=6, smoothing=smoothing,
+        seed=seed, msg_len=overlap + shift, r_max=6, smoothing=smoothing, n_decodes=1,
     )
 
     def experiment(chunk, cpus):
@@ -507,6 +508,18 @@ def test_blocked_scoring_equals_the_whole_matrix_oracle(
         assert (log_odds == simlab._combine(w, prior, evidence, overlap)[1]).all()
         max_run = int(lengths.max()) if lengths.size else 0
         assert json.loads(blocked)["totals"]["max_run_scored"] == max_run
+
+
+@pytest.mark.parametrize("c, corpus_size", [(2, 50), (4, 2_000), (26, 2_049), (256, 5_000)])
+def test_iid_report_is_the_same_at_any_number_of_corpus_texts(c, corpus_size):
+    # The texts of an i.i.d. corpus are consecutive draws of one stream, so
+    # one text of corpus_size letters is the corpus of 50 texts.
+    raw = np.random.default_rng(c).random(c) + 0.05
+    reports = [calibration_experiment(ExperimentConfig(
+        LanguageModel(alphabet_size=c, letter_probs=raw / raw.sum()), corpus_size=corpus_size,
+        n_pairs=50, overlap=20, fraction_right=0.5, seed=c, r_max=6, n_decodes=n_decodes,
+    )).to_json() for n_decodes in (1, 50)]
+    assert reports[0] == reports[1]
 
 
 def test_experiment_peaks_below_seven_bytes_per_cell():

@@ -95,6 +95,21 @@ def test_urn_validation():
         UrnModel(alpha={-1: 0.1}, no_repeat=0.9, alphabet_size=26)
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ({math.nan: 0.1}, "card run length must be a positive integer, got nan"),
+    ({"x": 0.1}, "card run length must be a positive integer, got 'x'"),
+    ({math.inf: 0.1}, "card run length must be a positive integer, got inf"),
+    ({2: "0.1"}, "card proportion for r=2 must be finite and >= 0, got 0.1"),
+])
+def test_urn_alphas_of_other_kinds_raise_validation_errors(alpha, message):
+    # These used to escape as ValueError, OverflowError and TypeError.
+    with pytest.raises(ValidationError, match=message):
+        UrnModel(alpha=alpha, no_repeat=0.9, alphabet_size=26)
+    # Bool and numpy-integer run lengths are whole numbers, as before.
+    for r in (True, np.int64(1)):
+        assert UrnModel(alpha={r: 0.1}, no_repeat=0.9, alphabet_size=26).alpha == {1: 0.1}
+
+
 def test_hatted_proportions_c26():
     urn = hatted_urn(26)
     assert urn.alpha[1] == pytest.approx(25 / 676, rel=1e-15)
