@@ -14,6 +14,7 @@ import argparse
 import datetime
 import functools
 import os
+import re
 import string
 import sys
 import tempfile
@@ -273,14 +274,15 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = read_object(Path(args.config).read_bytes(), "experiment config")
     config = simlab.ExperimentConfig.from_dict(doc)
-    # The traffic takes under 7 bytes a message cell, beside a byte a corpus letter.
+    # The traffic sits beside a byte a corpus letter.
     letters = config.corpus_size if config.urn == "from-corpus" else 0
     length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
     _check_fits_in_memory({
         f"corpus_size {letters} letters":
             _census_bytes(letters, config.language.alphabet_size, config.r_max),
         f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells":
-            letters + 7 * config.n_pairs * length[1],
+            letters + simlab._traffic_bytes(config.language.alphabet_size,
+                                            config.n_pairs, length[1]),
     })
     report = simlab.calibration_experiment(config)
     _write_artifact(args.out, report.to_json())
@@ -294,8 +296,26 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_NEGATIVE_FLOAT = re.compile(r"^-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[+-]?\d+)?)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads any negative float literal after a flag
+    as its value, as argparse itself reads -2.5: -1e5, -1E+5 and -inf too.
+    No repfit option looks like a number.
+
+    This replaces argparse's private ``_negative_number_matcher``, which
+    argparse 3.11 sets in ``_ActionsContainer.__init__`` and reads in
+    ``_parse_optional``; test_negative_float_flags_read_as_their_equals_form
+    fails if a later argparse stops reading it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repfit",
         description="Repetition statistics, urn models, and log-odds scoring of alignment fits.",
     )

@@ -2,14 +2,15 @@
 
 This module owns the one categorical fill, which draws the letters of an
 i.i.d. text and the cards of an urn alike, the one rule that cuts work
-into thread parts, and the split of a power-of-two key stream: its parts
-fill whole 64-bit outputs, and numpy draws the few keys at either edge.
+into thread parts, and key streams read a block at a time: numpy draws the
+few keys at either edge of a power-of-two stream, and each reader draws
+the whole 64-bit outputs between from its own copy of the generator.
 """
 
 import copy
 import os
 import threading
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,43 +99,80 @@ def _fill_categorical(codes: np.ndarray, p: np.ndarray, rng: np.random.Generator
             part += hit[: part.size]
 
 
-def _split_keys(rng: np.random.Generator, shape: tuple[int, ...], c: int,
-                cpus: int) -> tuple[np.ndarray, list]:
-    """int16 keys equal to ``rng.integers(0, c, shape, dtype=np.int16)`` for c
-    a power of two, and the jobs that fill them, one per part (see _parts);
-    ``rng`` is left where that draw leaves it.  The jobs may run in any
-    order, at once.
+class _Keys(NamedTuple):
+    """A stream of keys: ``head``, then four keys from each of ``outputs``
+    64-bit outputs of ``body``, each the top 16 - ``shift`` bits of a
+    little-endian 16-bit half, then ``tail``."""
+
+    head: np.ndarray
+    body: np.random.BitGenerator | None
+    outputs: int
+    tail: np.ndarray
+    shift: int
+
+
+def _split_keys(rng: np.random.Generator, n: int, c: int) -> _Keys:
+    """The ``n`` keys of ``rng.integers(0, c, n, dtype=np.int16)``, to read
+    with _KeyReader; ``rng`` is left where that draw leaves it.
 
     For c = 2**b numpy's bounded draw rejects nothing: a key is the top b
     bits of one 16-bit half of a 32-bit draw, low half first, so keys come
-    four to a 64-bit output.  The parts cover whole outputs only, split as
-    rng._split's uniforms are; numpy draws the keys at either edge: first
-    those of a 32-bit value the bit generator buffers, then the last one to
-    four keys, leaving the buffer as its own draw of them all would.
+    four to a 64-bit output.  numpy draws the keys at either edge here:
+    first those of a 32-bit value the bit generator buffers, then the last
+    one to four keys, leaving the buffer as its own draw of them all would.
+    The body between is a copy of the bit generator at its first whole
+    output, split as rng._split's uniforms are.  Other alphabets reject a
+    data-dependent count of draws, so all their keys are drawn here, as the
+    head.
     """
-    keys = np.empty(shape, dtype=np.int16)
-    flat = keys.reshape(-1)
-    head = min(flat.size, 2) if _advanceable(rng).state["has_uint32"] else 0
-    flat[:head] = rng.integers(0, c, head, dtype=np.int16)
-    outputs = max(0, flat.size - head - 1) // 4
-    parts = _parts(outputs, flat.size, cpus)
-    gens = _split(rng, [hi - lo for lo, hi in parts])
-    tail = head + 4 * outputs
-    flat[tail:] = rng.integers(0, c, flat.size - tail, dtype=np.int16)
-    body = flat[head:tail].view(np.uint16)
-    # A part draws a 64th of its outputs at a time, from 8 to 128 KB of them.
-    step = min(max(outputs // len(parts) // 64, 1 << 10), 1 << 14)
-    return keys, [partial(_fill_keys, body[4 * lo : 4 * hi], gen.bit_generator, c, step)
-                  for (lo, hi), gen in zip(parts, gens)]
+    if c & (c - 1):
+        return _Keys(rng.integers(0, c, n, dtype=np.int16), None, 0, np.empty(0, np.int16), 0)
+    head = rng.integers(0, c, min(n, 2) if _advanceable(rng).state["has_uint32"] else 0,
+                        dtype=np.int16)
+    outputs = max(0, n - head.size - 1) // 4
+    (body,) = _split(rng, [outputs])
+    tail = rng.integers(0, c, n - head.size - 4 * outputs, dtype=np.int16)
+    return _Keys(head, body.bit_generator, outputs, tail, 17 - c.bit_length())
 
 
-def _fill_keys(keys: np.ndarray, bit: np.random.BitGenerator, c: int, step: int) -> None:
-    """Each uint16 of ``keys`` the top log2(c) bits of the next little-endian
-    16-bit half of ``bit``'s 64-bit outputs, ``step`` outputs at a time."""
-    for lo in range(0, keys.size, 4 * step):
-        part = keys[lo : lo + 4 * step]
-        raw = bit.random_raw(part.size // 4).astype("<u8", copy=False)
-        np.right_shift(raw.view("<u2"), 17 - c.bit_length(), out=part)
+class _KeyReader:
+    """Reads the keys of a stream in order from key ``start``, a block at a
+    time, from its own copy of the body advanced to the output that holds
+    key ``start``.  The first block drops that output's leading keys; the
+    last output read is kept for a block that starts inside it."""
+
+    def __init__(self, keys: _Keys, start: int):
+        self.keys, self.pos = keys, start
+        self.next = min(max(start - keys.head.size, 0) // 4, keys.outputs)
+        self.last = np.empty(4, dtype=np.uint16)
+        if keys.body is not None:
+            self.body = copy.deepcopy(keys.body)
+            self.body.advance(self.next)
+
+    def read(self, out: np.ndarray) -> np.ndarray:
+        """``out``, a contiguous uint8 array, filled with the next keys."""
+        head, _, outputs, tail, shift = self.keys
+        flat = out.reshape(-1)
+        lo, hi = self.pos, self.pos + flat.size
+        self.pos = hi
+        start, stop = head.size, head.size + 4 * outputs
+        flat[: max(0, min(hi, start) - lo)] = head[lo : min(hi, start)]
+        flat[max(lo, stop) - lo :] = tail[max(lo, stop) - stop : max(hi, stop) - stop]
+        # The body's keys s..e, counted from its first.
+        s, e = max(lo, start) - start, min(hi, stop) - start
+        dst = flat[s + start - lo :]
+        if s < e and s < 4 * self.next:
+            k = min(e, 4 * self.next) - s
+            np.right_shift(self.last[s % 4 : s % 4 + k], shift, out=dst[:k], casting="unsafe")
+            dst, s = dst[k:], s + k
+        if s < e:
+            raw = self.body.random_raw(-(-e // 4) - self.next).astype("<u8", copy=False)
+            halves = raw.view("<u2")
+            np.right_shift(halves[s - 4 * self.next : e - 4 * self.next], shift,
+                           out=dst[: e - s], casting="unsafe")
+            self.next += raw.size
+            self.last[:] = halves[-4:]
+        return out
 
 
 def _cpus() -> int:

@@ -10,6 +10,10 @@ stream covering both messages at their aligned positions, so ciphertext
 coincidences occur exactly where the plaintexts coincide; a "wrong" pair
 uses independent streams, making aligned ciphertext letters independent and
 uniform regardless of the language.
+
+Each key is used once, as its pair is enciphered.  The keys of a
+power-of-two alphabet are read from the seeded generator a block of pairs
+at a time, so traffic holds only its ciphertexts; see generate_traffic.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from .artifacts import INT64, INTEGER, NUMBER, NUMBER_ARRAY, NUMBER_MATRIX, OBJE
 from .artifacts import is_int64, is_number, read_fields
 from .corpus import build_corpus, compute_statistics
 from .errors import ValidationError
-from .rng import _SAMPLE_CHUNK, _cpus, _fill_categorical, _in_threads, _parts, _split
-from .rng import _split_keys, checked_rng
+from .rng import _SAMPLE_CHUNK, _KeyReader, _cpus, _fill_categorical, _in_threads, _parts
+from .rng import _split, _split_keys, checked_rng
 from .scoring import _combine, weights
 from .urn import hatted_urn, urn_from_stats
 
@@ -173,12 +177,14 @@ def generate_traffic(
     fraction_right / (1 - fraction_right).
 
     The plaintexts fill on worker threads, each iid text cut into parts of
-    at least _MIN_PART letters, one thread each.  The keys of a power-of-two
-    alphabet fill in such parts beside them; other alphabets' keys reject a
-    data-dependent count of draws, so this thread draws them meanwhile.
-    This thread then draws the labels, and the pairs are enciphered in row
-    parts of at least _MIN_PART cells.  The draws, and so the traffic, do
-    not depend on the number of threads.
+    at least _MIN_PART letters, one thread each, while this thread splits
+    the two key streams and draws the labels.  The pairs are then
+    enciphered in place in row parts of at least _MIN_PART cells, each
+    reading its keys _SAMPLE_CHUNK cells at a time (see rng._KeyReader), so
+    the keys of a power-of-two alphabet are never held whole; other
+    alphabets' keys reject a data-dependent count of draws, so they are
+    drawn whole beside the fills.  The draws, and so the traffic, do not
+    depend on the number of threads.
     """
     _check_traffic(n_pairs, msg_len, overlap, fraction_right)
     rng = checked_rng(seed)
@@ -186,35 +192,35 @@ def generate_traffic(
     shift = msg_len - overlap
     cpus = _cpus()
 
-    # The two texts, and a power-of-two alphabet's two key streams, fill at
-    # once, each on half the CPUs; each text holds half the temporaries of
-    # one sampled text.
+    # The two texts fill at once, each on half the CPUs; each text holds
+    # half the temporaries of one sampled text.
     half = max(1, cpus // 2)
     plain_a, jobs_a = lm._draw((n_pairs, msg_len), rng, half, _SAMPLE_CHUNK // 2)
     plain_b, jobs_b = lm._draw((n_pairs, msg_len), rng, half, _SAMPLE_CHUNK // 2)
 
     # One key stream per pair covering both messages' machine positions; a
     # second, independent stream replaces B's aligned keys for wrong pairs.
-    shapes = [(n_pairs, msg_len + shift), (n_pairs, msg_len)]
-    if c & (c - 1):
-        # Rejection makes the count of draws depend on the data, so these
-        # keys are drawn on this thread, by the first job.
-        def keys():
-            return [rng.integers(0, c, size=shape, dtype=np.int16) for shape in shapes]
-
-        (key, key_b), *_ = _in_threads([keys, *jobs_a, *jobs_b])
-    else:
-        (key, jobs_key), (key_b, jobs_key_b) = [_split_keys(rng, shape, c, half)
-                                                for shape in shapes]
-        _in_threads([*jobs_key, *jobs_key_b, *jobs_a, *jobs_b])
-    # The labels, next in the stream, once the fills' temporaries are freed.
+    widths = (msg_len + shift, msg_len)
     is_right = np.zeros(n_pairs, dtype=bool)
-    is_right[rng.permutation(n_pairs)[: round(n_pairs * fraction_right)]] = True
+
+    def keys_and_labels():
+        streams = [_split_keys(rng, n_pairs * width, c) for width in widths]
+        is_right[rng.permutation(n_pairs)[: round(n_pairs * fraction_right)]] = True
+        return streams
+
+    streams, *_ = _in_threads([keys_and_labels, *jobs_a, *jobs_b])
+    step = max(1, _SAMPLE_CHUNK // msg_len)
 
     def encipher(lo, hi):
-        np.copyto(key_b[lo:hi], key[lo:hi, shift:], where=is_right[lo:hi, None])
-        _encipher(plain_b[lo:hi], key_b[lo:hi], c)
-        _encipher(plain_a[lo:hi], key[lo:hi, :msg_len], c)
+        readers = [_KeyReader(keys, lo * width) for keys, width in zip(streams, widths)]
+        blocks = [np.empty((min(step, hi - lo), width), dtype=np.uint8) for width in widths]
+        for top in range(lo, hi, step):
+            rows = slice(top, min(top + step, hi))
+            key, key_b = [reader.read(block[: rows.stop - top])
+                          for reader, block in zip(readers, blocks)]
+            np.copyto(key_b, key[:, shift:], where=is_right[rows, None])
+            _encipher(plain_b[rows], key_b, c)
+            _encipher(plain_a[rows], key[:, :msg_len], c)
 
     _in_threads([partial(encipher, lo, hi)
                  for lo, hi in _parts(n_pairs, n_pairs * msg_len, cpus)])
@@ -227,6 +233,16 @@ def generate_traffic(
         overlap=overlap,
         prior_log_odds=math.log(fraction_right / (1.0 - fraction_right)),
     )
+
+
+def _traffic_bytes(c: int, n_pairs: int, msg_len: int) -> int:
+    """The peak bytes, rounded up, of calibration_experiment's traffic of
+    ``n_pairs`` messages of ``msg_len`` letters: per message cell, the
+    letters, ciphered in place, and block-sized temporaries, 3 bytes; 7
+    where the alphabet is not a power of two, whose int16 key streams are
+    drawn whole.  Per pair, the label draw, the scores and their binning,
+    80 bytes, which outweigh the letters of short messages."""
+    return (7 if c & (c - 1) else 3) * n_pairs * msg_len + 80 * n_pairs
 
 
 def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: float) -> None:
@@ -245,18 +261,13 @@ def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: flo
 
 
 def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> None:
-    """(plain + key) mod c as uint8, summed in place in the int16 key and
-    written over ``plain``, _SAMPLE_CHUNK cells at a time.
+    """(plain + key) mod c written over ``plain``, both uint8 letters < c.
 
     Both letters are < c <= 256, so their uint16 sum s is below 2c, and
     min(s, s - c) is s mod c because s - c wraps around when s < c.
     """
-    s = key.view(np.uint16)
-    step = max(1, _SAMPLE_CHUNK // plain.shape[1])
-    for lo in range(0, len(plain), step):
-        block = s[lo : lo + step]
-        block += plain[lo : lo + step]
-        np.minimum(block, block - np.uint16(c), out=plain[lo : lo + step], casting="unsafe")
+    s = np.add(plain, key, dtype=np.uint16)
+    np.minimum(s, s - np.uint16(c), out=plain, casting="unsafe")
 
 
 def run_length_table(coincidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,7 +456,10 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     max_run = max(_in_threads([partial(score, lo, hi)
                                for lo, hi in _parts(n_pairs, n_pairs * overlap, _cpus())]))
-    _, log_odds, posterior = _combine(w, traffic.prior_log_odds, run_evidence, overlap)
+    # Once scored, the ciphertexts are freed before the binning arrays.
+    is_right, prior_log_odds = traffic.is_right, traffic.prior_log_odds
+    del traffic, a, b
+    _, log_odds, posterior = _combine(w, prior_log_odds, run_evidence, overlap)
 
     # In Python floats, so that an overflow reads inf without a numpy warning.
     if not float(np.abs(log_odds).max()) / bin_width < 2.0**63:
@@ -456,7 +470,7 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     bin_ids = np.floor(log_odds / bin_width).astype(np.int64)
     unique_ids, inverse = np.unique(bin_ids, return_inverse=True)
     n_total = np.bincount(inverse)
-    n_right = np.bincount(inverse, weights=traffic.is_right.astype(float))
+    n_right = np.bincount(inverse, weights=is_right.astype(float))
     mean_post = np.bincount(inverse, weights=posterior) / n_total
 
     bins = []
@@ -476,12 +490,12 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-    right, wrong = log_odds[traffic.is_right], log_odds[~traffic.is_right]
+    right, wrong = log_odds[is_right], log_odds[~is_right]
     totals = {
         "n_pairs": n_pairs,
         "n_right": right.size,
         "n_wrong": wrong.size,
-        "prior_log_odds": traffic.prior_log_odds,
+        "prior_log_odds": prior_log_odds,
         "mean_log_odds_right": float(right.mean()) if right.size else None,
         "mean_log_odds_wrong": float(wrong.mean()) if wrong.size else None,
         "std_log_odds_right": float(right.std()) if right.size else None,

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repfit.cli
+import repfit.corpus
 from repfit import simlab
 from repfit.cli import NormalizationPolicy, main
 from repfit.errors import NormalizationError
@@ -499,6 +500,30 @@ def test_simulate_beyond_memory_exits_3_before_drawing(tmp_path, capsys, monkeyp
     assert all(name in err for name in names) and "memory" in err and out == ""
 
 
+@pytest.mark.parametrize("c, n_pairs, overlap, code", [
+    (4, 10_000, 50, 0), (26, 10_000, 50, 3), (4, 40_000, 1, 3)])
+def test_simulate_memory_check_counts_whole_keys_only_where_they_are_drawn(
+        tmp_path, capsys, monkeypatch, c, n_pairs, overlap, code):
+    # 10,000 x 50 message cells take about 3 bytes each at c = 4, whose keys
+    # are read a block at a time, and 7 at c = 26, whose keys are drawn
+    # whole: the memory here lies between, above the hatted urn's census
+    # floor.  40,000 one-letter messages are few cells, but their scores
+    # and binning take about 80 bytes a pair.
+    monkeypatch.setattr(repfit.corpus, "_cpus", lambda: 1)
+    monkeypatch.setattr(repfit.cli, "_physical_memory", lambda: 5 * 10_000 * 50)
+    doc = {"language": {"c": c}, "corpus_size": 0, "n_pairs": n_pairs, "overlap": overlap,
+           "fraction_right": 0.5, "seed": 1, "urn": "hatted"}
+    config = write(tmp_path, "config.json", json.dumps(doc))
+    report = tmp_path / "report.json"
+    code_, _, err = run(capsys, "simulate", "--config", config, "--out", str(report))
+    assert code_ == code, err
+    if code == 0:
+        assert json.loads(report.read_text())["totals"]["n_pairs"] == n_pairs
+    else:
+        assert f"n_pairs {n_pairs} x overlap {overlap} message cells" in err and "memory" in err
+        assert not report.exists()
+
+
 def test_simulate_census_of_two_word_keys_beyond_memory_exits_3(tmp_path, capsys,
                                                                 monkeypatch):
     # At c = 26 the default r_max of 16 packs two-word keys, whose census
@@ -786,6 +811,28 @@ def test_fuzzed_artifact_and_config_fields_never_escape_or_print_nan(
             assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), doc
 
 
+def test_negative_float_flags_read_as_their_equals_form(tmp_path, capsys):
+    # argparse itself reads only plain negatives such as -2.5 as a value.
+    urn = tmp_path / "urn.json"
+    run(capsys, "urn", "--hatted", "--out", str(urn))
+
+    def score(*prior):
+        out = tmp_path / "score.json"
+        code, _, err = run(capsys, "--reproducible", "score", "--urn", str(urn),
+                           "--figure", "XXOXO", *prior, "--out", str(out))
+        return code, err, out.read_text() if code == 0 else None
+
+    for value in ("-1e5", "-1E+5", "-2.5", "-.5"):
+        code, _, text = score("--prior-log-odds", value)
+        assert code == 0 and text == score(f"--prior-log-odds={value}")[2], value
+        assert json.loads(text)["prior_log_odds"] == float(value)
+    for value in ("-inf", "-Infinity"):
+        code, err, _ = score("--prior-log-odds", value)
+        assert code == 3 and "finite" in err, value
+    code, err, _ = score("--smoothing-floor", "-1e-3")
+    assert code == 3 and "smoothing floor" in err
+
+
 # Each command's fixed arguments, with "{name}" for an input file, and its
 # numeric flags.
 FLAG_COMMANDS = {
@@ -820,7 +867,8 @@ def test_fuzzed_numeric_flags_never_escape_or_print_nan(tmp_path_factory, comman
     for name, text in FLAG_INPUTS.items():
         (folder / name).write_text(text)
     out = folder / "artifact.json"
-    # --flag=value: argparse would read a separate -1e5 or -inf as a flag.
+    # --flag=value; test_negative_float_flags_read_as_their_equals_form checks
+    # the separate form.
     argv = ([str(folder / arg[1:-1]) if arg.startswith("{") else arg for arg in fixed]
             + [f"{flag}={value!r}" for flag, value in zip(flags, values) if value is not None]
             + ["--out", str(out)])

@@ -1,15 +1,14 @@
 import sys
 import threading
-from unittest import mock
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repfit.rng
 from repfit.errors import ValidationError
-from repfit.rng import _SAMPLE_CHUNK, _in_threads, _split, _split_keys
+from repfit.rng import _SAMPLE_CHUNK, _KeyReader, _in_threads, _split, _split_keys
 from repfit.simlab import LanguageModel
 
 
@@ -48,31 +47,47 @@ def test_split_rejects_bit_generators_it_cannot_advance_by_outputs(bits):
 
 @given(
     bits=st.sampled_from([np.random.PCG64, np.random.PCG64DXSM]),
-    c=st.sampled_from([2**b for b in range(1, 9)]),
-    cpus=st.integers(1, 4),
-    # Sizes of none, one and a few keys; odd sizes; and sizes past the
-    # 2**10-output step of one part, in one or two dimensions.
-    shape=st.one_of(st.sampled_from([(0,), (1,), (2,), (3,), (5,), (4, 0), (3, 7)]),
-                    st.tuples(st.integers(6, 80)),
-                    st.tuples(st.integers(1, 3), st.integers(4 * 1024 - 9, 4 * 1024 + 9))),
+    # Every power of two up to 256, and alphabets whose keys are all drawn
+    # at the split.
+    c=st.sampled_from([2**b for b in range(1, 9)] + [3, 26, 255]),
+    # None, one and a few keys; odd counts; and counts past the 2**10
+    # outputs a step of the int16 key fill took, up to three such steps.
+    n=st.one_of(st.sampled_from([0, 1, 2, 3, 5, 21]), st.integers(6, 80),
+                st.integers(4 * 1024 - 9, 3 * (4 * 1024 + 9))),
     buffered=st.booleans(),
+    start=st.integers(0, 2**20),
+    blocks=st.lists(st.integers(1, 2_000), min_size=1, max_size=6),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_split_keys_equal_the_int16_draw_of_a_twin_generator(bits, c, cpus, shape, buffered,
-                                                             seed):
+def test_key_reads_equal_the_int16_draw_of_a_twin_generator(bits, c, n, buffered, start,
+                                                            blocks, seed):
     rng, twin = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
     if buffered:
         # A 32-bit draw leaves the high half of a 64-bit output buffered,
         # which the key draw must take first.
         assert rng.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
-    # Parts of one key at least: up to one per CPU, some with no outputs.
-    with mock.patch.object(repfit.rng, "_MIN_PART", 1):
-        keys, jobs = _split_keys(rng, shape, c, cpus)
-    # The parts fill on threads, last first.
-    _in_threads(jobs[::-1])
-    expected = twin.integers(0, c, shape, dtype=np.int16)
-    assert keys.dtype == np.int16 and keys.shape == expected.shape
-    assert np.array_equal(keys, expected)
+    keys = _split_keys(rng, n, c)
+    expected = twin.integers(0, c, n, dtype=np.int16)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+    # Reads start at every offset mod 4 of the body, inside the head and
+    # inside the tail, and at one more key; each reads the drawn blocks in
+    # turn, then the rest in one.
+    starts = sorted({*range(8), *range(n - 6, n + 1), start % (n + 1)} & {*range(n + 1)})
+
+    def read_from(first):
+        reader, got, pos = _KeyReader(keys, first), [np.empty(0, np.uint8)], first
+        for size in [*blocks, n]:
+            block = np.full(min(size, n - pos), 255, dtype=np.uint8)
+            assert reader.read(block) is block
+            got.append(block)
+            pos += block.size
+        return np.concatenate(got)
+
+    # The readers run on threads, last first.
+    for first, got in zip(starts[::-1], _in_threads([partial(read_from, first)
+                                                     for first in starts[::-1]])):
+        assert np.array_equal(got, expected[first:]), first
     assert rng.bit_generator.state == twin.bit_generator.state
     assert rng.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
     assert rng.random() == twin.random()

@@ -553,6 +553,46 @@ def test_threaded_experiment_peaks_below_seven_bytes_per_cell(monkeypatch):
     assert peak / (21_000 * 50) < 7.0
 
 
+@pytest.mark.parametrize("lm, n_pairs, cpus, bound", [
+    (SKEWED4, 20_000, 1, 3.5),
+    (SKEWED4, 21_000, 2, 3.5),
+    (LanguageModel(alphabet_size=26), 21_000, 2, 7.0),
+], ids=["skewed4-1cpu", "skewed4-2cpus", "uniform26-2cpus"])
+def test_experiment_holds_whole_keys_only_off_powers_of_two(monkeypatch, lm, n_pairs, cpus,
+                                                            bound):
+    # A power-of-two alphabet's keys are read a block at a time as the
+    # pairs are enciphered, so the peak is the letters, ciphered in place,
+    # and block-sized temporaries: about 3 B a cell.  At c = 26 the int16
+    # key streams are drawn whole, 4 B a cell more.
+    monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
+    config = ExperimentConfig(lm, corpus_size=20_000, n_pairs=n_pairs, overlap=50,
+                              fraction_right=0.5, seed=8)
+    tracemalloc.start()
+    try:
+        calibration_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (n_pairs * 50) < bound
+
+
+@pytest.mark.parametrize("c", [4, 26])
+@pytest.mark.parametrize("n_pairs, overlap", [(40_000, 1), (20_000, 50)])
+def test_traffic_bytes_bound_the_experiment_peak(monkeypatch, c, n_pairs, overlap):
+    # The rule the simulate memory check uses: at one letter a message the
+    # scores and their binning, not the letters, set the peak.
+    monkeypatch.setattr(simlab, "_cpus", lambda: 2)
+    config = ExperimentConfig(LanguageModel(alphabet_size=c), corpus_size=0, n_pairs=n_pairs,
+                              overlap=overlap, fraction_right=0.5, seed=8, urn="hatted")
+    tracemalloc.start()
+    try:
+        calibration_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < simlab._traffic_bytes(c, n_pairs, overlap)
+
+
 def _markov26():
     transition = np.random.default_rng(2).random((26, 26))
     transition /= transition.sum(axis=1, keepdims=True)
