@@ -76,9 +76,9 @@ class NormalizationPolicy:
         return len(self.alphabet)
 
     def normalize(self, data: bytes) -> np.ndarray:
-        """Letter codes of ``data``, each byte mapped by ``bytes.translate``
-        through a table of its letter code, _SKIP or _INVALID.  The result is
-        a read-only view of the mapped bytes."""
+        """A read-only view of the letter codes of ``data``, mapped by one
+        ``bytes.translate`` through a table of each byte's letter code, _SKIP
+        or _INVALID, which deletes the _SKIP bytes (and _INVALID, stripping)."""
         table = np.full(256, _INVALID, dtype=np.uint8)
         table[[ord(ch) for ch in self.alphabet]] = np.arange(self.alphabet_size)
         if self.fold_case:
@@ -89,15 +89,15 @@ class NormalizationPolicy:
             else:
                 table[lower] = table[upper]
         table[list(_WHITESPACE)] = _SKIP
-        mapped = data.translate(table.tobytes())
-        # No byte is dropped yet, so the first invalid one's index is its offset.
-        offset = mapped.find(_INVALID) if self.on_invalid == "error" else -1
-        if offset >= 0:
+        dropped = np.isin(table, (_SKIP,) if self.on_invalid == "error" else (_SKIP, _INVALID))
+        mapped = data.translate(table.tobytes(), np.flatnonzero(dropped).astype(np.uint8).tobytes())
+        if self.on_invalid == "error" and _INVALID in mapped:
+            offset = data.translate(table.tobytes()).find(_INVALID)  # nothing deleted
             raise NormalizationError(
                 f"byte {data[offset:offset + 1]!r} at offset {offset} is not in the alphabet",
                 offset,
             )
-        return np.frombuffer(mapped.translate(None, bytes([_SKIP, _INVALID])), dtype=np.uint8)
+        return np.frombuffer(mapped, dtype=np.uint8)
 
 
 def _policy_from_args(args) -> NormalizationPolicy:
@@ -166,8 +166,9 @@ def _cmd_stats(args) -> int:
             raise NormalizationError(f"{path}: {exc}", exc.offset) from exc
     letters = sum(text.size for text in texts)
     _check_fits_in_memory({f"{letters} letters censused to --rmax {args.rmax}":
-                           _census_bytes(letters, policy.alphabet_size, args.rmax)})
+                           letters + _census_bytes(letters, policy.alphabet_size, args.rmax)})
     corpus = build_corpus(texts, policy.alphabet_size)
+    del texts  # the census runs beside the joined letters alone
     stats = compute_statistics(corpus, r_max=args.rmax)
     _write_artifact(args.out, stats_to_json(stats, **_stamp(args)))
     _info(args, f"N = {stats.n_letters}, alphabet {stats.alphabet_size}, "

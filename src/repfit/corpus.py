@@ -13,18 +13,18 @@ aligned positions.  Two kinds of repeat counts are derived:
   sides.  They follow from the apparent counts via
   N_r = M_r - 2*M_{r+1} + M_{r+2}.
 
-Apparent counts come from one sort of packed gram keys.  Every circular
-r_max-gramme becomes a big-endian bit string of bits = max(1, ceil(log2 c))
-bits per symbol, first symbol in the most significant bits, held in
-ceil(bits * r_max / 64) uint64 words: one word up to 12 symbols at c=26 or
-32 at c=4.  Unsigned order of the keys is lexicographic order of the grams,
+Apparent counts come from one sort of packed gram keys.  At bits =
+max(1, ceil(log2 c)) bits a symbol, a uint64 word holds k = 64 // bits
+symbols, the first in its top bits, and a circular r_max-gramme takes
+ceil(r_max / k) words: word j of the key at position i is the k-gram at
+i + j*k.  Unsigned order of the keys is lexicographic order of the grams,
 so after the sort every group of grams sharing an r-prefix is contiguous,
-for every r at once.  The XOR of two adjacent sorted keys is zero on the
-bits where they agree, so its first set bit falls in the first symbol where
-the grams differ: they share their first r symbols exactly when no bit of
-the XOR among the first bits*r is set.  Each M_r is read off that adjacency
-mask.  The result is exact integer arithmetic, identical to comparing all
-N(N-1)/2 rotation pairs directly.
+for every r <= r_max at once.  The XOR of two adjacent sorted keys is zero
+on the bits where they agree, so its first set bit falls in the first
+symbol where the grams differ: they share their first r symbols exactly
+when the XOR has no set bit before bit 64*(r // k) + bits*(r % k).  Each
+M_r is read off that adjacency mask.  The result is exact integer
+arithmetic, identical to comparing all N(N-1)/2 rotation pairs directly.
 
 Memory per letter, beyond the codes themselves: one uint64 per key word.
 Keys are packed and counted _CHUNK positions at a time, so every other
@@ -34,7 +34,7 @@ thread per part (see apparent_counts); the parts share the one key array,
 and each thread adds its own chunk-sized temporaries, about 1 MB.  Longer
 keys are sorted by a lexsort over 16-bit pieces, in one part: the keys
 with their pieces or their permuted copies, and the permutation, take 16
-bytes per word and 8 more a letter (40 at two words).
+bytes per word and 8 more a letter (40 at two words, 56 at three).
 _census_bytes states this rule, which the command line checks before a census.
 
 Card accounting for the urn model: each comparison consumes one card per
@@ -45,8 +45,9 @@ cards and the rest are no-repeat cards.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -71,15 +72,16 @@ _WORD_BITS = 64
 
 
 def _key_layout(alphabet_size: int, r_max: int) -> tuple[int, int]:
-    """Bits per symbol and uint64 words per key of the packed r_max-grams."""
+    """Bits per symbol and uint64 words of the r_max-gram keys, whole symbols to a word."""
     bits = max(1, (alphabet_size - 1).bit_length())
-    return bits, -(-bits * r_max // _WORD_BITS)
+    return bits, -(-r_max // (_WORD_BITS // bits))
 
 
 def _census_bytes(n_letters: int, alphabet_size: int, r_max: int) -> int:
     """Peak bytes of a census beyond the letter codes: 8 a letter for one-word
-    keys, 16 * w + 8 for w >= 2 words (the keys, the lexsort's order and the
-    permuted keys), and 2 MB a CPU for the chunk-sized temporaries."""
+    keys, 16 * w + 8 for w >= 2 words of 64 // bits symbols (the keys, the
+    lexsort's order and the permuted keys), and 2 MB a CPU for the chunk-sized
+    temporaries."""
     words = _key_layout(alphabet_size, r_max)[1]
     per_letter = 8 if words <= 1 else 16 * words + 8
     return per_letter * n_letters + (_cpus() << 21)
@@ -192,53 +194,54 @@ def build_corpus(texts: Sequence[Sequence[int]], alphabet_size: int) -> Circular
 
 def _pack(codes: np.ndarray, bits: int, r_max: int, words: list[np.ndarray],
           lo: int, hi: int) -> None:
-    """Write the circular r_max-grams at positions lo..hi-1 into zeroed
-    uint64 ``words``, as big-endian bit strings.
-
-    Symbol j of the gram at position i occupies bits [bits*j, bits*(j+1)) of
-    the string, counted from the most significant bit of the first word; a
-    symbol may straddle two words, and the last word is padded with zero
-    bits on the right.  The words are filled _CHUNK positions at a time, all
-    r_max symbol columns of a chunk while it is in cache, with in-place
-    shifts and ORs, so no temporary is longer than a chunk.
-    """
-    n = codes.size
+    """Write the circular r_max-grams at positions lo..hi-1 into uint64
+    ``words`` (see the module docstring) from top-aligned k-grams, k = 64 //
+    bits or r_max in one word, built _CHUNK positions at a time by Karp,
+    Miller & Rosenberg's doubling: the (a + b)-gram at i is the a-gram at i
+    ORed with the b-gram at i + a shifted right by bits * a.  Each bit of k
+    below its top doubles a (b = a), and a set one then adds a symbol (b = 1).
+    One-word keys take the last step straight into ``words``."""
+    n, k, top = codes.size, min(_WORD_BITS // bits, r_max), _WORD_BITS - bits
+    span = (len(words) - 1) * k  # positions past a chunk's own whose k-grams its keys hold
+    reach = span + k - 1  # symbols a chunk reads past its last position
+    buffers = [np.empty(min(_CHUNK, hi - lo) + reach, np.uint64) for _ in range(2 + bool(span))]
     for start in range(lo, hi, _CHUNK):
         stop = min(start + _CHUNK, hi)
-        window = codes[start : stop + r_max - 1].astype(np.uint64)  # no cast per column
-        if stop + r_max - 1 > n:  # the grams of the last chunk wrap around
-            window = np.concatenate([window, codes[: stop + r_max - 1 - n]], dtype=np.uint64)
-        chunk = [word[start:stop] for word in words]
-        w, free = 0, _WORD_BITS  # word being filled, and its low bits still free
-        for j in range(r_max):
-            symbol = window[j : j + stop - start]
-            spill = bits - free  # low bits of the symbol that start the next word
-            if spill > 0:
-                chunk[w] <<= free
-                chunk[w] |= symbol >> spill
-                w, free = w + 1, _WORD_BITS - spill
-                chunk[w] |= symbol & ((1 << spill) - 1)
-            else:
-                chunk[w] <<= bits
-                chunk[w] |= symbol
-                free -= bits
-        chunk[w] <<= free
+        window = codes[start : stop + reach]
+        if stop + reach > n:  # the last chunk's grams wrap around the circle, maybe more than once
+            window = np.concatenate([window, codes[np.arange(stop + reach - n) % n]])
+        out = buffers[2][: stop - start + span] if span else words[0][start:stop]
+        grams = np.left_shift(window, top, out=out if k == 1 else buffers[0][: window.size],
+                              dtype=np.uint64)
+        a, spare = 1, buffers[1]
+        for bit in bin(k)[3:]:
+            for b in (a, 1) if bit == "1" else (a,):
+                length = window.size - a - b + 1
+                dst = out if a + b == k else spare[:length]
+                if b == a:
+                    np.right_shift(grams[a : a + length], bits * a, out=dst)
+                else:
+                    np.left_shift(window[a : a + length], top - bits * a, out=dst, dtype=np.uint64)
+                dst |= grams[:length]
+                grams, a, spare = dst, a + b, grams.base  # the buffer just read is free
+        for j, word in enumerate(words if span else ()):
+            word[start:stop] = out[j * k : j * k + stop - start]
 
 
 def _cuts(codes: np.ndarray, c: int, parts: list[tuple[int, int]]) -> list[int]:
     """Bounds of about as many parts of the sorted one-word keys as the
-    position ``parts``, each cut where the first symbol changes: the key
-    index after the last key of some symbol nearest each part's end.
-    Symbols are counted _CHUNK codes at a time, so the count's intp casts
-    stay chunk-sized."""
+    position ``parts``, each cut where the first symbol changes: the count
+    of codes <= s, counted _CHUNK at a time, nearest each part's end (the
+    lower on a tie), found by a binary search over the symbols s."""
     n = codes.size
     if len(parts) == 1:
         return [0, n]
-    counts = np.zeros(c, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        counts += np.bincount(codes[start : start + _CHUNK], minlength=c)
-    ends = np.cumsum(counts)
-    cuts = {int(ends[np.abs(ends - hi).argmin()]) for _, hi in parts[:-1]}
+    end = cache(lambda s: sum(np.count_nonzero(codes[i : i + _CHUNK] <= s)
+                              for i in range(0, n, _CHUNK)))
+    cuts = set()
+    for _, hi in parts[:-1]:
+        s = bisect_left(range(c), hi, key=end)  # the first symbol ending at or past hi
+        cuts.add(end(s - 1) if s and hi - end(s - 1) <= end(s) - hi else end(s))
     return [0, *sorted(cuts - {0, n}), n]
 
 
@@ -252,7 +255,7 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
 
     Sorts the packed r_max-gram keys (see the module docstring), then walks
     them _CHUNK adjacencies at a time: for each r, an adjacency whose XOR
-    has a set bit among the first bits*r ends a group of equal r-grammes,
+    has a set bit among its first r symbols ends a group of equal r-grammes,
     and the size of the group still open at a chunk's end is carried into
     the next.  A group of s grams holds s(s-1)/2 pairs and the sizes sum to
     n, so M_r = (sum s^2 - n) / 2.
@@ -274,7 +277,7 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     c = corpus.alphabet_size
     bits, n_words = _key_layout(c, r_max)
     symbols = corpus.codes.astype(np.min_scalar_type(c - 1), copy=False)
-    words = [np.zeros(n, dtype=np.uint64) for _ in range(n_words)]
+    words = [np.empty(n, dtype=np.uint64) for _ in range(n_words)]
     parts = _parts(n, n, 1 if len(words) > 1 or c == 1 else _cpus())
     _in_threads([partial(_pack, symbols, bits, r_max, words, lo, hi) for lo, hi in parts])
     if len(words) == 1:
@@ -296,15 +299,16 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
 
 def _sum_squares(words: list[np.ndarray], bits: int, r_max: int) -> list[int]:
     """For r = 1..r_max, the sum of s^2 over the groups of the sorted keys
-    equal on their first bits*r bits.  The first group opens at size 1."""
+    equal on their first r symbols.  The first group opens at size 1."""
     squares, open_size = [0] * r_max, [1] * r_max  # per r: sum s^2 so far, open group
-    n = words[0].size
+    n, k = words[0].size, _WORD_BITS // bits
     for start in range(0, n - 1, _CHUNK):
         stop = min(start + _CHUNK, n - 1)
         diffs = [word[start + 1 : stop + 1] ^ word[start:stop] for word in words]
-        for i in range(r_max):
-            closed, open_size[i] = _groups_in_chunk(diffs, bits * (i + 1), open_size[i])
-            squares[i] += closed
+        for r in range(1, r_max + 1):
+            end = _WORD_BITS * (r // k) + bits * (r % k)
+            closed, open_size[r - 1] = _groups_in_chunk(diffs, end, open_size[r - 1])
+            squares[r - 1] += closed
     return [s + size * size for s, size in zip(squares, open_size)]
 
 
@@ -321,7 +325,7 @@ def _groups_in_chunk(diffs: list[np.ndarray], end: int, open_size: int) -> tuple
         return 0, open_size + breaks.size
     first, final = int(at[0]), int(at[-1])
     sizes = np.subtract(at[1:], at[:-1], out=at[:-1])  # in place: no second array
-    return (open_size + first) ** 2 + int(np.dot(sizes, sizes)), breaks.size - final
+    return (open_size + first) ** 2 + int(np.inner(sizes, sizes)), breaks.size - final
 
 
 def actual_counts(apparent: Sequence[int]) -> list[int]:

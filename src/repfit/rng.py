@@ -22,8 +22,12 @@ _MIN_PART = 1 << 20
 # Values worked per step, 2^16 of 8 bytes, kept in cache across many passes:
 # a categorical fill's uniforms, one pass per cdf entry (the urn sampler's
 # cards, or a sampled text's fill jobs in sum, half each for traffic's two
-# texts), and the census's keys, one per symbol column packed or order counted.
+# texts), and the census's keys, one per doubling step packed or order counted.
 _SAMPLE_CHUNK = 1 << 16
+# Cdf entries below 1.0 past which a categorical fill searches the cdf per
+# uniform, not passes over the uniforms per entry: on 2^16 uniforms, ~4.5 ms
+# both ways at 256, 6 against 19 ms at 1,024 (2 vCPU Xeon VM, numpy 2.4).
+_SEARCH_FROM = 256
 
 
 def checked_rng(seed: int | None) -> np.random.Generator:
@@ -82,9 +86,10 @@ def _fill_categorical(codes: np.ndarray, p: np.ndarray, rng: np.random.Generator
     """Each of ``codes`` a category drawn with proportions ``p`` as
     ``Generator.choice`` draws it: from one float64 uniform u, the count of
     entries <= u of the cdf, ``p.cumsum()`` over its last entry, which is
-    ``cdf.searchsorted(u, side="right")``.  The count is tallied one entry
-    at a time over ``chunk`` uniforms, and stops at the first entry of 1.0:
-    u < 1, and no entry exceeds the last, which is 1.0."""
+    ``cdf.searchsorted(u, side="right")``.  The count stops at the first
+    entry of 1.0: u < 1, and no entry exceeds the last, which is 1.0.  It
+    is tallied one entry at a time over ``chunk`` uniforms, or, past
+    _SEARCH_FROM entries below 1.0, searched for."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     top = int(cdf.searchsorted(1.0))
@@ -93,6 +98,9 @@ def _fill_categorical(codes: np.ndarray, p: np.ndarray, rng: np.random.Generator
     for lo in range(0, codes.size, chunk):
         part = codes[lo : lo + chunk]
         draws = rng.random(out=u[: part.size])
+        if top > _SEARCH_FROM:
+            part[:] = cdf[:top].searchsorted(draws, side="right")
+            continue
         np.greater_equal(draws, cdf[0], out=part)
         for k in range(1, top):
             np.greater_equal(draws, cdf[k], out=hit[: part.size])

@@ -134,6 +134,41 @@ def test_table_normalize_matches_per_byte_oracle(data, alphabet, fold_case, on_i
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("data, offset", [
+    (b" \t\nAB\r\n ?CD", 8),  # whitespace before the bad byte counts in its offset
+    (b"?ABC", 0),
+    (b"ABC?", 3),
+    (b"\n\xff", 1),
+    (b"AB \x00\x01", 3),
+    (b"", None),
+    (b" \t\r\n\v\f", None),
+])
+def test_normalize_error_offsets_match_the_oracle(data, offset):
+    policy = NormalizationPolicy()
+    if offset is None:
+        assert np.array_equal(policy.normalize(data), normalize_oracle(policy, data))
+        assert policy.normalize(data).size == 0
+        return
+    with pytest.raises(NormalizationError) as expected:
+        normalize_oracle(policy, data)
+    with pytest.raises(NormalizationError) as got:
+        policy.normalize(data)
+    assert got.value.offset == expected.value.offset == offset
+    assert str(got.value) == str(expected.value) == (
+        f"byte {data[offset:offset + 1]!r} at offset {offset} is not in the alphabet")
+
+
+@pytest.mark.parametrize("alphabet, fold_case", [
+    (string.ascii_uppercase, True), ("abc", True), ("ACGT", False), (string.digits, False),
+    (string.ascii_letters, False)])
+def test_strip_mode_over_every_byte_value_matches_the_oracle(alphabet, fold_case):
+    policy = NormalizationPolicy(alphabet=alphabet, fold_case=fold_case, on_invalid="strip")
+    data = bytes(range(256)) * 2 + bytes(range(255, -1, -1))
+    got = policy.normalize(data)
+    assert np.array_equal(got, normalize_oracle(policy, data))
+    assert not got.flags.writeable
+
+
 def test_stats_strip_mode_drops_bad_bytes(tmp_path, capsys):
     corpus = write(tmp_path, "corpus.txt", "AB?CAB!")
     out = tmp_path / "stats.json"
@@ -552,6 +587,24 @@ def test_stats_beyond_memory_exits_3_naming_rmax_before_the_census(tmp_path, cap
     code, out, err = run(capsys, "stats", corpus, "--rmax", "5")
     assert code == 3
     assert "1100 letters censused to --rmax 5" in err and "memory" in err and out == ""
+
+
+@pytest.mark.parametrize("spare, code", [(550, 3), (1100, 0)])
+def test_stats_memory_check_counts_the_letters_beside_the_census(tmp_path, capsys, monkeypatch,
+                                                                 spare, code):
+    # The census runs beside the corpus, a byte a letter: memory for the
+    # census of 1100 letters and half of the letters is too little.
+    monkeypatch.setattr(repfit.cli, "_physical_memory",
+                        lambda: repfit.corpus._census_bytes(1100, 26, 5) + spare)
+    corpus = write(tmp_path, "corpus.txt", "ABRACADABRA" * 100)
+    out = tmp_path / "stats.json"
+    code_, _, err = run(capsys, "stats", corpus, "--rmax", "5", "--out", str(out))
+    assert code_ == code, err
+    if code:
+        assert "1100 letters censused to --rmax 5" in err and "memory" in err
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["N"] == 1100
 
 
 @pytest.mark.parametrize("command, owner, heavy", [

@@ -3,10 +3,11 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repfit.rng
@@ -199,6 +200,41 @@ def test_counts_are_exact_when_groups_straddle_chunks(monkeypatch):
             assert apparent_counts(corpus, r_max) == expected, (chunk, corpus.alphabet_size)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    # (c, r_max): whole symbols to a word take one word more than a bit
+    # string at c = 26 for r_max 25, 37 and 38 and at c = 5..8 for r_max 64;
+    # c = 70,000 packs 3 symbols of 17 bits a word.
+    width=st.sampled_from([(26, 25), (26, 37), (26, 38), (5, 64), (8, 64),
+                           (70_000, 3), (70_000, 4), (70_000, 9)]),
+    extra=st.integers(1, 25),
+    to_the_end=st.booleans(),
+    kind=st.sampled_from(["random", "near-periodic", "few symbols"]),
+    seed=st.integers(0, 2**32),
+)
+def test_symbol_aligned_keys_match_the_oracle(width, extra, to_the_end, kind, seed):
+    # At the width's r_max or at n - 1, in chunks of a few keys and in
+    # parts of one position at least, on two CPUs.
+    c, r_max = width
+    rng = random.Random(seed)
+    n = r_max + extra
+    if kind == "random":
+        circle = random_circle(rng, n, c)
+    elif kind == "near-periodic":
+        circle = near_periodic_circle(rng, n, c)
+    else:  # a few symbols from across the alphabet, so that grams repeat
+        pool = sorted(rng.sample(range(c), rng.randrange(2, 5)))
+        circle = [pool[x] for x in random_circle(rng, n, len(pool))]
+    r_max = n - 1 if to_the_end else r_max
+    corpus = build_corpus([circle], c)
+    expected = apparent_oracle(circle, r_max)
+    with mock.patch.object(repfit.rng, "_MIN_PART", 1), \
+            mock.patch.object(corpus_module, "_cpus", lambda: 2):
+        for chunk in (1, 3, 7, corpus_module._CHUNK):
+            with mock.patch.object(corpus_module, "_CHUNK", chunk):
+                assert apparent_counts(corpus, r_max) == expected, chunk
+
+
 def _threaded_cases(rng: random.Random):
     """(circle, c) pairs for the threaded census: the one-word oracle cases,
     near-periodic circles, a one-symbol corpus of a larger alphabet (no
@@ -212,6 +248,24 @@ def _threaded_cases(rng: random.Random):
         yield [5] * n, 26, min(9, n - 1)
         yield random_circle(rng, n, 2), 2, min(9, n - 1)
         yield [0] * n, 1, min(9, n - 1)
+
+
+@given(
+    codes=st.lists(st.integers(0, 9), min_size=1, max_size=60),
+    c=st.integers(10, 12),
+    cpus=st.integers(1, 5),
+    chunk=st.sampled_from([1, 3, 1 << 16]),
+)
+def test_cuts_are_the_symbol_ends_nearest_the_part_ends(codes, c, cpus, chunk):
+    # The rule's reference: every symbol's end from one bincount, and for
+    # each part's end the nearest of them, the first symbol's on a tie.
+    codes = np.array(codes, dtype=np.uint8)
+    parts = [(len(codes) * p // cpus, len(codes) * (p + 1) // cpus) for p in range(cpus)]
+    ends = np.cumsum(np.bincount(codes, minlength=c))
+    cuts = {int(ends[np.abs(ends - hi).argmin()]) for _, hi in parts[:-1]}
+    expected = [0, *sorted(cuts - {0, len(codes)}), len(codes)] if cpus > 1 else [0, len(codes)]
+    with mock.patch.object(corpus_module, "_CHUNK", chunk):
+        assert corpus_module._cuts(codes, c, parts) == expected
 
 
 def _spy_parts(monkeypatch) -> list[int]:
@@ -446,7 +500,7 @@ def test_one_word_census_peaks_at_ten_bytes_per_letter():
     assert _peak_bytes(apparent_counts, corpus, 9) <= 10 * n
 
 
-@pytest.mark.parametrize("c, r_max, words", [(26, 12, 1), (26, 16, 2), (26, 40, 4)])
+@pytest.mark.parametrize("c, r_max, words", [(26, 12, 1), (26, 16, 2), (26, 25, 3), (26, 40, 4)])
 def test_census_bytes_bound_the_census_peak(c, r_max, words):
     n = 1_000_000
     corpus = build_corpus([np.random.default_rng(11).integers(0, c, size=n, dtype=np.uint8)], c)

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repfit.errors import ValidationError
-from repfit.rng import _SAMPLE_CHUNK, _KeyReader, _in_threads, _split, _split_keys
+from repfit.rng import (_SAMPLE_CHUNK, _SEARCH_FROM, _KeyReader, _fill_categorical, _in_threads,
+                        _split, _split_keys)
 from repfit.simlab import LanguageModel
 
 
@@ -91,6 +92,20 @@ def test_key_reads_equal_the_int16_draw_of_a_twin_generator(bits, c, n, buffered
     assert rng.bit_generator.state == twin.bit_generator.state
     assert rng.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
     assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("kinds, zeros", [(_SEARCH_FROM + 1, 0), (_SEARCH_FROM + 2, 0),
+                                          (1_200, 0), (1_200, 40)])
+@pytest.mark.parametrize("chunk", [1, 37, _SAMPLE_CHUNK])
+def test_categorical_fill_of_many_kinds_is_the_choice_draw(kinds, zeros, chunk):
+    # The cdf's last entry, and those of trailing kinds of proportion 0, are
+    # 1.0: _SEARCH_FROM entries below it are tallied, one more is searched.
+    p = np.random.default_rng(kinds).random(kinds)
+    p[kinds - zeros :] = 0
+    p /= p.sum()
+    codes = np.empty(3 * chunk + 5, dtype=np.uint16)
+    _fill_categorical(codes, p, np.random.default_rng(7), chunk)
+    assert np.array_equal(codes, np.random.default_rng(7).choice(kinds, codes.size, p=p))
 
 
 def test_in_threads_raises_the_first_failing_job_in_the_list():

@@ -37,6 +37,15 @@ TWELVE_CARD_URN = UrnModel(
     alphabet_size=12,
 )
 
+# 1,201 card kinds, with a cdf entry below 1.0 for every one but the last:
+# the sampler searches the cdf for each card (rng._SEARCH_FROM).
+_LONG_CARDS = {r: 1e-6 for r in range(12, 1_201)}
+MANY_KIND_URN = UrnModel(
+    alpha={**TWELVE_CARD_URN.alpha, **_LONG_CARDS},
+    no_repeat=TWELVE_CARD_URN.no_repeat - sum(_LONG_CARDS.values()),
+    alphabet_size=12,
+)
+
 
 def codes(text):
     return [ord(ch) - ord("A") for ch in text]
@@ -287,8 +296,8 @@ def test_sampler_card_frequencies_match_proportions():
 @settings(max_examples=60, deadline=None)
 @given(
     # The 1,001-kind urn draws uint16 cards, and all but 53 of its cdf
-    # entries are 1.0.
-    st.sampled_from([hatted_urn(2), TWELVE_CARD_URN, hatted_urn(2, r_max=1000)]),
+    # entries are 1.0; the 1,201-kind urn has 1,200 below 1.0.
+    st.sampled_from([hatted_urn(2), TWELVE_CARD_URN, hatted_urn(2, r_max=1000), MANY_KIND_URN]),
     st.sampled_from([1, 2, 37]),
     st.integers(min_value=1, max_value=150),
     st.integers(min_value=0, max_value=2**32),
