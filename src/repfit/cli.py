@@ -275,15 +275,17 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = read_object(Path(args.config).read_bytes(), "experiment config")
     config = simlab.ExperimentConfig.from_dict(doc)
-    # The traffic sits beside a byte a corpus letter.
+    # The census runs beside the joined corpus letters, a byte each, and
+    # the traffic after both are freed.
     letters = config.corpus_size if config.urn == "from-corpus" else 0
     length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
     _check_fits_in_memory({
         f"corpus_size {letters} letters":
-            _census_bytes(letters, config.language.alphabet_size, config.r_max),
+            letters + _census_bytes(letters, config.language.alphabet_size, config.r_max),
         f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells":
-            letters + simlab._traffic_bytes(config.language.alphabet_size,
-                                            config.n_pairs, length[1]),
+            simlab._traffic_bytes(config.language.alphabet_size, config.n_pairs, length[1],
+                                  length[1] - config.overlap,
+                                  config.language.kind == "markov-1"),
     })
     report = simlab.calibration_experiment(config)
     _write_artifact(args.out, report.to_json())

@@ -21,8 +21,9 @@ from .errors import ValidationError
 _MIN_PART = 1 << 20
 # Values worked per step, 2^16 of 8 bytes, kept in cache across many passes:
 # a categorical fill's uniforms, one pass per cdf entry (the urn sampler's
-# cards, or a sampled text's fill jobs in sum, half each for traffic's two
-# texts), and the census's keys, one per doubling step packed or order counted.
+# cards, a sampled text's fill jobs in sum, or a block of traffic's pairs,
+# half each for its two markov-1 texts), and the census's keys, one per
+# doubling step packed or order counted.
 _SAMPLE_CHUNK = 1 << 16
 # Cdf entries below 1.0 past which a categorical fill searches the cdf per
 # uniform, not passes over the uniforms per entry: on 2^16 uniforms, ~4.5 ms
@@ -48,6 +49,13 @@ def _advanceable(rng: np.random.Generator) -> np.random.BitGenerator:
     return bit
 
 
+def _advanced(bit: np.random.BitGenerator, steps: int) -> np.random.BitGenerator:
+    """A copy of ``bit`` moved on ``steps`` 64-bit outputs."""
+    bit = copy.deepcopy(bit)
+    bit.advance(steps)
+    return bit
+
+
 def _split(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generator]:
     """One generator per size, each drawing the float64 uniforms that
     ``rng.random`` would draw for its part of ``sum(sizes)`` laid end to end;
@@ -62,9 +70,7 @@ def _split(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generat
     bit = _advanceable(rng)
     parts, start = [], 0
     for size in sizes:
-        part = copy.deepcopy(bit)
-        part.advance(start)
-        parts.append(np.random.Generator(part))
+        parts.append(np.random.Generator(_advanced(bit, start)))
         start += size
     state = bit.state
     bit.advance(start)
@@ -154,8 +160,7 @@ class _KeyReader:
         self.next = min(max(start - keys.head.size, 0) // 4, keys.outputs)
         self.last = np.empty(4, dtype=np.uint16)
         if keys.body is not None:
-            self.body = copy.deepcopy(keys.body)
-            self.body.advance(self.next)
+            self.body = _advanced(keys.body, self.next)
 
     def read(self, out: np.ndarray) -> np.ndarray:
         """``out``, a contiguous uint8 array, filled with the next keys."""

@@ -11,9 +11,9 @@ coincidences occur exactly where the plaintexts coincide; a "wrong" pair
 uses independent streams, making aligned ciphertext letters independent and
 uniform regardless of the language.
 
-Each key is used once, as its pair is enciphered.  The keys of a
-power-of-two alphabet are read from the seeded generator a block of pairs
-at a time, so traffic holds only its ciphertexts; see generate_traffic.
+Each pair is drawn, enciphered and scored once, a block of pairs at a
+time: the lab holds its pairs' scores, and whole only what cannot be read
+by block (see _PairStream).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .artifacts import INT64, INTEGER, NUMBER, NUMBER_ARRAY, NUMBER_MATRIX, OBJE
 from .artifacts import is_int64, is_number, read_fields
 from .corpus import build_corpus, compute_statistics
 from .errors import ValidationError
-from .rng import _SAMPLE_CHUNK, _KeyReader, _cpus, _fill_categorical, _in_threads, _parts
-from .rng import _split, _split_keys, checked_rng
+from .rng import _SAMPLE_CHUNK, _KeyReader, _advanced, _cpus, _fill_categorical, _in_threads
+from .rng import _parts, _split, _split_keys, checked_rng
 from .scoring import _combine, weights
 from .urn import hatted_urn, urn_from_stats
 
@@ -176,73 +176,121 @@ def generate_traffic(
     label order is shuffled.  The recorded prior odds are
     fraction_right / (1 - fraction_right).
 
-    The plaintexts fill on worker threads, each iid text cut into parts of
-    at least _MIN_PART letters, one thread each, while this thread splits
-    the two key streams and draws the labels.  The pairs are then
-    enciphered in place in row parts of at least _MIN_PART cells, each
-    reading its keys _SAMPLE_CHUNK cells at a time (see rng._KeyReader), so
-    the keys of a power-of-two alphabet are never held whole; other
-    alphabets' keys reject a data-dependent count of draws, so they are
-    drawn whole beside the fills.  The draws, and so the traffic, do not
-    depend on the number of threads.
+    The pairs are read from a _PairStream in row parts of at least
+    _MIN_PART cells, one thread each, _SAMPLE_CHUNK cells at a time.  The
+    draws, and so the traffic, do not depend on the number of threads.
     """
     _check_traffic(n_pairs, msg_len, overlap, fraction_right)
-    rng = checked_rng(seed)
-    c = lm.alphabet_size
-    shift = msg_len - overlap
-    cpus = _cpus()
+    stream = _PairStream(lm, n_pairs, msg_len, overlap, fraction_right, seed)
+    # A markov-1 text is held whole, and read back into itself: ciphered in place.
+    whole = [text if isinstance(text, np.ndarray) else np.empty((n_pairs, msg_len), np.uint8)
+             for text in stream.texts]
 
-    # The two texts fill at once, each on half the CPUs; each text holds
-    # half the temporaries of one sampled text.
-    half = max(1, cpus // 2)
-    plain_a, jobs_a = lm._draw((n_pairs, msg_len), rng, half, _SAMPLE_CHUNK // 2)
-    plain_b, jobs_b = lm._draw((n_pairs, msg_len), rng, half, _SAMPLE_CHUNK // 2)
+    def read(lo, hi):
+        for _ in stream.blocks(lo, hi, whole):
+            pass
 
-    # One key stream per pair covering both messages' machine positions; a
-    # second, independent stream replaces B's aligned keys for wrong pairs.
-    widths = (msg_len + shift, msg_len)
-    is_right = np.zeros(n_pairs, dtype=bool)
-
-    def keys_and_labels():
-        streams = [_split_keys(rng, n_pairs * width, c) for width in widths]
-        is_right[rng.permutation(n_pairs)[: round(n_pairs * fraction_right)]] = True
-        return streams
-
-    streams, *_ = _in_threads([keys_and_labels, *jobs_a, *jobs_b])
-    step = max(1, _SAMPLE_CHUNK // msg_len)
-
-    def encipher(lo, hi):
-        readers = [_KeyReader(keys, lo * width) for keys, width in zip(streams, widths)]
-        blocks = [np.empty((min(step, hi - lo), width), dtype=np.uint8) for width in widths]
-        for top in range(lo, hi, step):
-            rows = slice(top, min(top + step, hi))
-            key, key_b = [reader.read(block[: rows.stop - top])
-                          for reader, block in zip(readers, blocks)]
-            np.copyto(key_b, key[:, shift:], where=is_right[rows, None])
-            _encipher(plain_b[rows], key_b, c)
-            _encipher(plain_a[rows], key[:, :msg_len], c)
-
-    _in_threads([partial(encipher, lo, hi)
-                 for lo, hi in _parts(n_pairs, n_pairs * msg_len, cpus)])
-
+    _in_threads([partial(read, lo, hi) for lo, hi in stream.parts()])
+    cipher_a, cipher_b = whole
     return Traffic(
-        cipher_a=plain_a,
-        cipher_b=plain_b,
-        is_right=is_right,
-        shift=shift,
+        cipher_a=cipher_a,
+        cipher_b=cipher_b,
+        is_right=stream.is_right,
+        shift=stream.shift,
         overlap=overlap,
-        prior_log_odds=math.log(fraction_right / (1.0 - fraction_right)),
+        prior_log_odds=stream.prior_log_odds,
     )
 
 
-def _traffic_bytes(c: int, n_pairs: int, msg_len: int) -> int:
+class _PairStream:
+    """generate_traffic's pairs, to read in order from any pair (see
+    blocks).  It holds the labels, the key streams (rng._split_keys:
+    their edges, or, where c is not a power of two, every key) and each
+    text's generator at its first uniform, or, for a markov-1 text, the
+    text, drawn whole here: its start states come from ``rng``, and its
+    chain fills on a thread beside the keys and labels.
+
+    The draws are made on default_rng(seed) in this order: text A's and
+    text B's uniforms (rng._split), the shared and B-only key streams, then
+    the labels.
+    """
+
+    def __init__(self, lm: LanguageModel, n_pairs: int, msg_len: int, overlap: int,
+                 fraction_right: float, seed: int | None):
+        rng = checked_rng(seed)
+        self.lm, self.msg_len = lm, msg_len
+        self.shift = msg_len - overlap
+        self.prior_log_odds = math.log(fraction_right / (1.0 - fraction_right))
+        self.texts, jobs = [], []
+        for _ in "ab":
+            if lm.kind == "iid-skewed":
+                self.texts += _split(rng, [n_pairs * msg_len])
+            else:
+                # Each chain holds half the temporaries of one sampled text.
+                text, fill = lm._draw((n_pairs, msg_len), rng, 1, _SAMPLE_CHUNK // 2)
+                self.texts.append(text)
+                jobs += fill
+        # One key stream per pair covering both messages' machine positions; a
+        # second, independent stream replaces B's aligned keys for wrong pairs.
+        self.widths = (msg_len + self.shift, msg_len)
+        self.is_right = np.zeros(n_pairs, dtype=bool)
+
+        def keys_and_labels():
+            keys = [_split_keys(rng, n_pairs * width, lm.alphabet_size) for width in self.widths]
+            self.is_right[rng.permutation(n_pairs)[: round(n_pairs * fraction_right)]] = True
+            return keys
+
+        self.keys, *_ = _in_threads([keys_and_labels, *jobs])
+
+    def parts(self) -> list[tuple[int, int]]:
+        """Row parts of at least _MIN_PART message cells, one per CPU at most."""
+        n_pairs = len(self.is_right)
+        return _parts(n_pairs, n_pairs * self.msg_len, _cpus())
+
+    def blocks(self, lo: int, hi: int, whole: list[np.ndarray] | None = None):
+        """Pairs ``lo`` to ``hi`` in order, enciphered, as (pairs, cipher_a,
+        cipher_b) blocks of at most _SAMPLE_CHUNK cells, or one pair: the
+        rows ``pairs`` of the ``whole`` arrays where given, else buffers
+        reused from block to block.  An i.i.d. text's letters and the keys
+        are drawn as they are read, each from its own copy of the generator
+        advanced to the pairs' place."""
+        c, msg_len = self.lm.alphabet_size, self.msg_len
+        rows = max(1, min(hi - lo, _SAMPLE_CHUNK // msg_len))
+        keys = [(_KeyReader(stream, lo * width), np.empty((rows, width), dtype=np.uint8))
+                for stream, width in zip(self.keys, self.widths)]
+        texts = [text if isinstance(text, np.ndarray)
+                 else np.random.Generator(_advanced(text.bit_generator, lo * msg_len))
+                 for text in self.texts]
+        outs = whole or [np.empty((rows, msg_len), dtype=np.uint8) for _ in "ab"]
+        for top in range(lo, hi, rows):
+            pairs = slice(top, min(top + rows, hi))
+            a, b = [out[pairs] if whole else out[: pairs.stop - top] for out in outs]
+            for out, text in zip((a, b), texts):
+                if isinstance(text, np.ndarray):
+                    out[...] = text[pairs]  # no copy where out is the text's own rows
+                else:
+                    _fill_categorical(out.reshape(-1), self.lm.letter_probs, text, _SAMPLE_CHUNK)
+            key, key_b = [reader.read(block[: len(a)]) for reader, block in keys]
+            np.copyto(key_b, key[:, self.shift :], where=self.is_right[pairs, None])
+            _encipher(b, key_b, c)
+            _encipher(a, key[:, :msg_len], c)
+            yield pairs, a, b
+
+
+def _traffic_bytes(c: int, n_pairs: int, msg_len: int, shift: int = 0,
+                   chain: bool = False) -> int:
     """The peak bytes, rounded up, of calibration_experiment's traffic of
-    ``n_pairs`` messages of ``msg_len`` letters: per message cell, the
-    letters, ciphered in place, and block-sized temporaries, 3 bytes; 7
-    where the alphabet is not a power of two, whose int16 key streams are
-    drawn whole.  Per pair, the label draw, the scores and their binning,
-    80 bytes, which outweigh the letters of short messages."""
-    return (7 if c & (c - 1) else 3) * n_pairs * msg_len + 80 * n_pairs
+    ``n_pairs`` messages of ``msg_len`` letters, B's ``shift`` letters on
+    from A's: per pair, the scores and their binning, 40 bytes; per row
+    part (see _PairStream.parts), a block of _SAMPLE_CHUNK // msg_len rows,
+    or one, read and scored at 20 bytes a cell and 64 a row; and what is
+    held whole: the int16 key streams of an alphabet that is not a power of
+    two, 2 bytes a key (2 * msg_len + shift a pair), and the two texts of a
+    markov-1 language, 2 bytes a message cell."""
+    rows = min(n_pairs, max(1, _SAMPLE_CHUNK // max(1, msg_len)))
+    parts = len(_parts(n_pairs, n_pairs * msg_len, _cpus()))
+    whole = (2 * (2 * msg_len + shift) if c & (c - 1) else 0) + (2 * msg_len if chain else 0)
+    return (40 + whole) * n_pairs + parts * rows * (20 * msg_len + 64)
 
 
 def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: float) -> None:
@@ -409,8 +457,12 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     master = checked_rng(config.seed)
 
     if config.urn == "from-corpus":
-        texts = _corpus_texts(lm, config.corpus_size, config.n_decodes, master)
-        stats = compute_statistics(build_corpus(texts, lm.alphabet_size), r_max=config.r_max)
+        # The texts are freed once joined, and the joined letters once
+        # censused, so the traffic sits beside neither.
+        corpus = build_corpus(_corpus_texts(lm, config.corpus_size, config.n_decodes, master),
+                              lm.alphabet_size)
+        stats = compute_statistics(corpus, r_max=config.r_max)
+        del corpus
         model = urn_from_stats(stats)
         # Half a card keeps unseen long runs scorable without inventing
         # meaningful evidence mass.
@@ -422,44 +474,31 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"unknown urn kind {config.urn!r}")
 
     w = weights(model, log_base="nat", floor=floor)
+    stream = _PairStream(lm, n_pairs, msg_len, overlap, config.fraction_right,
+                         int(master.integers(0, 2**63)))
 
-    traffic = generate_traffic(
-        lm,
-        n_pairs,
-        msg_len,
-        overlap,
-        config.fraction_right,
-        seed=int(master.integers(0, 2**63)),
-    )
+    # Each row part reads its pairs a block at a time and scores them as
+    # they are drawn, each row's weights summed run by run.  A
+    # part's mu_table grows from r = 1 to its longest run so far, so every
+    # part that meets an unscorable length fails at the shortest one.
+    shift, prior_log_odds = stream.shift, stream.prior_log_odds
+    log_odds, posterior = np.empty(n_pairs), np.empty(n_pairs)
 
-    # Score row parts of at least _MIN_PART cells on threads, each part
-    # _SAMPLE_CHUNK cells of pairs at a time: half a chunk a part, on 2
-    # CPUs, took as long as one part.  Each row's weights are still summed
-    # run by run.  A part's mu_table grows from r = 1 to its longest run so
-    # far, so every part that meets an unscorable length fails at the
-    # shortest one.
-    a, b = traffic.cipher_a[:, traffic.shift :], traffic.cipher_b[:, :overlap]
-    step = max(1, _SAMPLE_CHUNK // overlap)
-    run_evidence = np.empty(n_pairs)
-
-    def score(start, stop):
+    def score(lo, hi):
         mu, mu_table = [0.0], np.zeros(1)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            hits = a[lo:hi] == b[lo:hi]
-            rows, lengths = run_length_table(hits)
+        for pairs, cipher_a, cipher_b in stream.blocks(lo, hi):
+            rows, lengths = run_length_table(cipher_a[:, shift:] == cipher_b[:, :overlap])
             if lengths.size and lengths.max() >= len(mu):
                 mu += [w.mu_for(r) for r in range(len(mu), int(lengths.max()) + 1)]
                 mu_table = np.array(mu)
-            run_evidence[lo:hi] = np.bincount(rows, mu_table[lengths], len(hits))
+            run_evidence = np.bincount(rows, mu_table[lengths], len(cipher_a))
+            _, log_odds[pairs], posterior[pairs] = _combine(w, prior_log_odds, run_evidence,
+                                                            overlap)
         return len(mu) - 1
 
-    max_run = max(_in_threads([partial(score, lo, hi)
-                               for lo, hi in _parts(n_pairs, n_pairs * overlap, _cpus())]))
-    # Once scored, the ciphertexts are freed before the binning arrays.
-    is_right, prior_log_odds = traffic.is_right, traffic.prior_log_odds
-    del traffic, a, b
-    _, log_odds, posterior = _combine(w, prior_log_odds, run_evidence, overlap)
+    max_run = max(_in_threads([partial(score, lo, hi) for lo, hi in stream.parts()]))
+    is_right = stream.is_right
+    del stream  # its whole keys or texts, if any, go before the binning arrays
 
     # In Python floats, so that an overflow reads inf without a numpy warning.
     if not float(np.abs(log_odds).max()) / bin_width < 2.0**63:
@@ -467,16 +506,31 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
             f"bin_width {config.bin_width} is too small: log-odds / bin_width must be finite "
             "and its floor must fit in int64"
         )
-    bin_ids = np.floor(log_odds / bin_width).astype(np.int64)
-    unique_ids, inverse = np.unique(bin_ids, return_inverse=True)
+    bin_ids = log_odds / bin_width
+    bin_ids = np.floor(bin_ids, out=bin_ids).astype(np.int64)
+    ids = np.sort(bin_ids)  # np.unique would hash them, ~10x slower here
+    unique_ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+    del ids
+    # Each pair's index among the distinct bin ids: looked up in a table
+    # where the ids span at most a bin a pair, else searched for (~12x slower).
+    first, span = unique_ids[0], int(unique_ids[-1]) - int(unique_ids[0]) + 1
+    if span <= n_pairs:
+        table = np.zeros(span, dtype=np.intp)
+        table[unique_ids - first] = np.arange(unique_ids.size)
+        bin_ids -= first
+        inverse = table[bin_ids]
+    else:
+        inverse = unique_ids.searchsorted(bin_ids)
+    del bin_ids
     n_total = np.bincount(inverse)
-    n_right = np.bincount(inverse, weights=is_right.astype(float))
+    n_right = np.bincount(inverse[is_right], minlength=unique_ids.size)
     mean_post = np.bincount(inverse, weights=posterior) / n_total
+    del inverse
 
     bins = []
     for i, bin_id in enumerate(unique_ids):
         n = int(n_total[i])
-        right = int(round(n_right[i]))
+        right = int(n_right[i])
         p = float(mean_post[i])
         bins.append(
             PosteriorBin(

@@ -387,6 +387,18 @@ def cipher_coincidences(traffic) -> np.ndarray:
     return traffic.cipher_a[:, traffic.shift :] == traffic.cipher_b[:, : traffic.overlap]
 
 
+def bins_oracle(log_odds, posterior, is_right, bin_width: float):
+    """(bin id, n_total, n_right, mean posterior) of each occupied log-odds
+    bin, by np.unique's inverse, posteriors summed in pair order."""
+    bin_ids = np.floor(log_odds / bin_width).astype(np.int64)
+    unique_ids, inverse = np.unique(bin_ids, return_inverse=True)
+    n_total = np.bincount(inverse)
+    n_right = np.bincount(inverse, weights=is_right.astype(float))
+    mean_post = np.bincount(inverse, weights=posterior) / n_total
+    return [(int(i), int(n), int(round(r)), float(p))
+            for i, n, r, p in zip(unique_ids, n_total, n_right, mean_post)]
+
+
 def report_text_oracle(report):
     """(JSON text, CSV rows) of an experiment report, each bin written field
     by field, as the package did before its bin fields were listed once."""

@@ -536,15 +536,17 @@ def test_simulate_beyond_memory_exits_3_before_drawing(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("c, n_pairs, overlap, code", [
-    (4, 10_000, 50, 0), (26, 10_000, 50, 3), (4, 40_000, 1, 3)])
+    (4, 10_000, 50, 0), (26, 10_000, 50, 3), (4, 60_000, 50, 3), (4, 40_000, 1, 3)])
 def test_simulate_memory_check_counts_whole_keys_only_where_they_are_drawn(
         tmp_path, capsys, monkeypatch, c, n_pairs, overlap, code):
-    # 10,000 x 50 message cells take about 3 bytes each at c = 4, whose keys
-    # are read a block at a time, and 7 at c = 26, whose keys are drawn
-    # whole: the memory here lies between, above the hatted urn's census
-    # floor.  40,000 one-letter messages are few cells, but their scores
-    # and binning take about 80 bytes a pair.
+    # 10,000 pairs of 50 letters take 40 bytes a pair and a block of 1,310
+    # rows, 1.8 MB, at c = 4, whose keys are read a block at a time, and
+    # 2 MB more at c = 26, whose int16 keys are held whole: the memory here
+    # lies between, above the hatted urn's census floor.  60,000 such pairs
+    # take 2.4 MB for their scores and binning alone, and 40,000 one-letter
+    # messages are few cells, but a block of 40,000 rows.
     monkeypatch.setattr(repfit.corpus, "_cpus", lambda: 1)
+    monkeypatch.setattr(simlab, "_cpus", lambda: 1)
     monkeypatch.setattr(repfit.cli, "_physical_memory", lambda: 5 * 10_000 * 50)
     doc = {"language": {"c": c}, "corpus_size": 0, "n_pairs": n_pairs, "overlap": overlap,
            "fraction_right": 0.5, "seed": 1, "urn": "hatted"}
@@ -605,6 +607,27 @@ def test_stats_memory_check_counts_the_letters_beside_the_census(tmp_path, capsy
         assert not out.exists()
     else:
         assert json.loads(out.read_text())["N"] == 1100
+
+
+@pytest.mark.parametrize("spare, code", [(550, 3), (1100, 0)])
+def test_simulate_memory_check_counts_the_letters_beside_the_census(tmp_path, capsys, monkeypatch,
+                                                                    spare, code):
+    # A from-corpus urn's census runs beside the joined corpus, a byte a
+    # letter: memory for the census of 1100 letters and half of the letters
+    # is too little.
+    monkeypatch.setattr(repfit.cli, "_physical_memory",
+                        lambda: repfit.corpus._census_bytes(1100, 26, 5) + spare)
+    doc = {"language": {"c": 26}, "corpus_size": 1100, "r_max": 5, "n_pairs": 100,
+           "overlap": 10, "fraction_right": 0.5, "seed": 1}
+    config = write(tmp_path, "config.json", json.dumps(doc))
+    report = tmp_path / "report.json"
+    code_, _, err = run(capsys, "simulate", "--config", config, "--out", str(report))
+    assert code_ == code, err
+    if code:
+        assert "corpus_size 1100 letters" in err and "memory" in err
+        assert not report.exists()
+    else:
+        assert json.loads(report.read_text())["totals"]["n_pairs"] == 100
 
 
 @pytest.mark.parametrize("command, owner, heavy", [

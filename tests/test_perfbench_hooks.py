@@ -9,7 +9,7 @@ from unittest.mock import patch
 import numpy as np
 
 from repfit import simlab
-from repfit.simlab import ExperimentConfig, LanguageModel, calibration_experiment
+from repfit.simlab import ExperimentConfig, LanguageModel, calibration_experiment, generate_traffic
 
 from oracles import cipher_coincidences, run_evidence_oracle
 
@@ -43,14 +43,17 @@ def test_run_length_hook_sees_every_cell_and_run():
     def keep(name, fn):
         def spy(*args, **kwargs):
             made[name] = fn(*args, **kwargs)
+            made[f"{name} args"] = args
             return made[name]
         return spy
 
     with patch.object(simlab, "run_length_table", table_spy), \
             patch.object(simlab, "weights", keep("weights", simlab.weights)), \
-            patch.object(simlab, "generate_traffic", keep("traffic", simlab.generate_traffic)):
+            patch.object(simlab, "_PairStream", keep("stream", simlab._PairStream)):
         calibration_experiment(config)
-    _, lengths = run_evidence_oracle(made["weights"], cipher_coincidences(made["traffic"]))
+    # The lab's stream, drawn whole from its arguments.
+    traffic = generate_traffic(*made["stream args"])
+    _, lengths = run_evidence_oracle(made["weights"], cipher_coincidences(traffic))
     assert len(cells) > 2
     assert sum(cells) == n_pairs * overlap
     assert sum(runs) == lengths.size

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from contextlib import ExitStack
 from unittest.mock import patch
 
 import numpy as np
@@ -24,6 +25,7 @@ from repfit.simlab import (
 )
 
 from oracles import (
+    bins_oracle,
     cipher_coincidences,
     markov_sample_oracle,
     report_text_oracle,
@@ -229,6 +231,70 @@ def test_traffic_equals_the_reference_draws(lm, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _skewed(c):
+    raw = np.random.default_rng(c).random(c) + 0.05
+    return LanguageModel(alphabet_size=c, letter_probs=raw / raw.sum())
+
+
+@pytest.mark.parametrize("lm", [
+    SKEWED4,
+    _skewed(26),
+    _skewed(256),
+    LanguageModel(alphabet_size=3, kind="markov-1",
+                  transition=np.array([[0.6, 0.4, 0.0], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]])),
+], ids=["skewed4", "skewed26", "skewed256", "markov3"])
+def test_lab_blocks_equal_the_reference_draws(lm, monkeypatch):
+    # The lab reads its pairs from the stream on 1, 2 or 4 row parts, each
+    # 1 or 7 rows at a time or in one block, on threads that interleave
+    # between most bytecodes; laid end to end, the enciphered blocks it
+    # scores are the reference traffic, and the stream's labels its labels.
+    config = ExperimentConfig(lm, corpus_size=0, n_pairs=301, overlap=25, msg_len=41,
+                              fraction_right=0.4, seed=2718, urn="hatted")
+    monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
+            for block_rows in (None, 1, 7):
+                calls, blocks = {}, _Blocks()
+                with ExitStack() as stack:
+                    if block_rows is not None:
+                        stack.enter_context(patch.object(simlab, "_SAMPLE_CHUNK", block_rows * 41))
+                    stack.enter_context(patch.object(simlab, "_PairStream",
+                                                     _spy(calls, "stream", simlab._PairStream)))
+                    blocks.install(stack)
+                    calibration_experiment(config)
+                assert threading.active_count() == threads
+                args, _, stream = calls["stream"]
+                expected = traffic_oracle(*args)[2:]
+                got = [*blocks.whole(blocks.read, 301), stream.is_right]
+                for array, reference in zip(got, expected):
+                    assert np.array_equal(array, reference), (cpus, block_rows)
+                if block_rows == 1:
+                    assert len(blocks.read) == 301
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parts_without_pairs_read_none(monkeypatch):
+    # Cut by cells, 3 pairs of 5 letters make 4 row parts on 4 CPUs, one of
+    # them empty (as 1 pair of 3x10^6 letters would on 2 CPUs).
+    monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
+    monkeypatch.setattr(simlab, "_cpus", lambda: 4)
+    assert (0, 0) in repfit.rng._parts(3, 15, 4)
+    traffic = generate_traffic(SKEWED4, n_pairs=3, msg_len=5, overlap=4, fraction_right=0.4,
+                               seed=1)
+    for array, reference in zip((traffic.cipher_a, traffic.cipher_b, traffic.is_right),
+                                traffic_oracle(SKEWED4, 3, 5, 4, 0.4, 1)[2:]):
+        assert np.array_equal(array, reference)
+    report = calibration_experiment(ExperimentConfig(
+        SKEWED4, corpus_size=0, n_pairs=3, overlap=4, msg_len=5, fraction_right=0.4, seed=1,
+        urn="hatted"))
+    assert report.totals["n_pairs"] == 3
+
+
 @pytest.mark.parametrize("c", [4, 256])
 @pytest.mark.parametrize("block_rows", [1, 7])
 def test_traffic_enciphered_in_blocks_equals_the_reference_draws(c, block_rows):
@@ -391,6 +457,26 @@ def test_report_totals_and_csv_shape():
     assert (report.to_json(), rows) == report_text_oracle(report)
 
 
+@pytest.mark.parametrize("bin_width", [1.0, 0.137, 1e-9])
+def test_bins_equal_the_unique_inverse_oracle(bin_width):
+    # Bin ids spanning at most a bin a pair are looked up in a table, wider
+    # spans (1e-9 here) are searched for; both count and sum in pair order.
+    config = ExperimentConfig(SKEWED4, corpus_size=2_000, n_pairs=3_000, overlap=20,
+                              fraction_right=0.3, seed=5, bin_width=bin_width)
+    calls, blocks = {}, _Blocks()
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(simlab, "_PairStream",
+                                         _spy(calls, "stream", simlab._PairStream)))
+        blocks.install(stack)
+        report = calibration_experiment(config)
+    _, log_odds, posterior = blocks.scores(3_000)
+    expected = bins_oracle(log_odds, posterior, calls["stream"][2].is_right, bin_width)
+    assert [(round(b.lo / bin_width), b.n_total, b.n_right, b.mean_posterior)
+            for b in report.bins] == expected
+    assert [b.lo for b in report.bins] == [i * bin_width for i, *_ in expected]
+    assert (expected[-1][0] - expected[0][0] >= 3_000) == (bin_width == 1e-9)
+
+
 def test_unscorable_run_without_smoothing_propagates():
     # Tiny corpus, long overlap: traffic will contain runs the corpus never
     # produced; with smoothing disabled the scorer's error surfaces.
@@ -406,6 +492,46 @@ def _spy(calls, name, fn):
         calls[name] = (args, kwargs, fn(*args, **kwargs))
         return calls[name][2]
     return spy
+
+
+class _Blocks:
+    """Spies on the lab's blocks: the pairs each _PairStream.blocks step
+    yields, and the _combine call that then scores them on the same thread."""
+
+    stream_class = simlab._PairStream
+
+    def __init__(self):
+        self.read, self.combined, self.last = [], [], {}
+
+    def install(self, stack):
+        real_blocks, real_combine = self.stream_class.blocks, simlab._combine
+
+        def blocks(stream, *args):
+            for pairs, a, b in real_blocks(stream, *args):
+                self.last[threading.get_ident()] = pairs
+                self.read.append((pairs, a.copy(), b.copy()))
+                yield pairs, a, b
+
+        def combine(w, prior, run_evidence, overlap):
+            result = real_combine(w, prior, run_evidence, overlap)
+            self.combined.append((self.last[threading.get_ident()], run_evidence, result))
+            return result
+
+        stack.enter_context(patch.object(self.stream_class, "blocks", blocks))
+        stack.enter_context(patch.object(simlab, "_combine", combine))
+
+    def whole(self, arrays, n):
+        """Per-pair arrays laid out from (pairs, *arrays) blocks, every pair once."""
+        arrays = sorted(arrays, key=lambda block: block[0].start)
+        bounds = [(pairs.start, pairs.stop) for pairs, *_ in arrays]
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == n
+        return [np.concatenate(column) for column in zip(*(blocks for _, *blocks in arrays))]
+
+    def scores(self, n):
+        """The lab's per-pair (run evidence, log-odds, posterior)."""
+        return self.whole([(pairs, run_evidence, log_odds, posterior)
+                           for pairs, run_evidence, (_, log_odds, posterior) in self.combined], n)
 
 
 @given(
@@ -428,16 +554,19 @@ def test_experiment_log_odds_match_odds_of_fit_row_by_row(
         corpus_size=3_000, n_pairs=200, overlap=overlap, fraction_right=fraction_right,
         seed=seed, msg_len=overlap + shift, r_max=6, urn=urn, smoothing=smoothing,
     )
-    calls = {}
-    with patch.object(simlab, "weights", _spy(calls, "weights", simlab.weights)), \
-            patch.object(simlab, "generate_traffic", _spy(calls, "traffic", simlab.generate_traffic)), \
-            patch.object(simlab, "_combine", _spy(calls, "combine", simlab._combine)):
+    calls, blocks, raised = {}, _Blocks(), False
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(simlab, "weights", _spy(calls, "weights", simlab.weights)))
+        stack.enter_context(patch.object(simlab, "_PairStream",
+                                         _spy(calls, "stream", simlab._PairStream)))
+        blocks.install(stack)
         try:
             calibration_experiment(config)
         except ModelError:
-            pass
+            raised = True
     (model,), weight_kwargs, _ = calls["weights"]
-    traffic = calls["traffic"][2]
+    # The lab's stream, drawn whole from its arguments.
+    traffic = generate_traffic(*calls["stream"][0])
     scored = []
     for row in range(len(traffic.is_right)):
         figure = figure_from_comparison(traffic.cipher_a[row], traffic.cipher_b[row], traffic.shift)
@@ -445,9 +574,10 @@ def test_experiment_log_odds_match_odds_of_fit_row_by_row(
             scored.append(odds_of_fit(model, figure=figure, prior_log_odds=traffic.prior_log_odds,
                                       floor=weight_kwargs["floor"]))
         except ModelError:
-            assert "combine" not in calls
+            assert raised
             return
-    _, log_odds, posterior = calls["combine"][2]
+    assert not raised
+    _, log_odds, posterior = blocks.scores(len(scored))
     for row, score in enumerate(scored):
         assert abs(log_odds[row] - score.log_odds) <= 1e-12
         assert abs(posterior[row] - score.posterior) <= 1e-12
@@ -464,12 +594,13 @@ def test_experiment_log_odds_match_odds_of_fit_row_by_row(
 def test_blocked_scoring_equals_the_whole_matrix_oracle(
     c, overlap, shift, smoothing, block_rows, seed
 ):
-    # Scoring runs in one row part per CPU, 1, 2 or 4 with _MIN_PART patched
-    # to one cell, each part _SAMPLE_CHUNK // overlap rows at a time: here 1,
-    # 2 or 7 rows, or the real size, which holds a part in one block.  The
-    # longest run scored is the longest of any part, and an unscorable run
-    # fails every part that meets one at the shortest.  An i.i.d. corpus is
-    # the same in one text as in 50 (see the test below), and one is faster.
+    # Pairs are drawn and scored in one row part per CPU, 1, 2 or 4 with
+    # _MIN_PART patched to one cell, each part _SAMPLE_CHUNK // msg_len rows
+    # at a time: here 1, 2 or 7 rows, or the real size, which holds a part
+    # in one block.  The longest run scored is the longest of any part, and
+    # an unscorable run fails every part that meets one at the shortest.  An
+    # i.i.d. corpus is the same in one text as in 50 (see the test below),
+    # and one is faster.
     raw = np.random.default_rng(seed).random(c) + 0.05
     config = ExperimentConfig(
         LanguageModel(alphabet_size=c, letter_probs=raw / raw.sum()),
@@ -478,34 +609,40 @@ def test_blocked_scoring_equals_the_whole_matrix_oracle(
     )
 
     def experiment(chunk, cpus):
-        calls = {}
-        with patch.object(simlab, "_SAMPLE_CHUNK", chunk), \
-                patch.object(repfit.rng, "_MIN_PART", 1), \
-                patch.object(simlab, "_cpus", lambda: cpus), \
-                patch.object(simlab, "weights", _spy(calls, "weights", simlab.weights)), \
-                patch.object(simlab, "generate_traffic",
-                             _spy(calls, "traffic", simlab.generate_traffic)), \
-                patch.object(simlab, "_combine", _spy(calls, "combine", simlab._combine)):
+        calls, blocks = {}, _Blocks()
+        with ExitStack() as stack:
+            stack.enter_context(patch.object(simlab, "_SAMPLE_CHUNK", chunk))
+            stack.enter_context(patch.object(repfit.rng, "_MIN_PART", 1))
+            stack.enter_context(patch.object(simlab, "_cpus", lambda: cpus))
+            stack.enter_context(patch.object(simlab, "weights",
+                                             _spy(calls, "weights", simlab.weights)))
+            stack.enter_context(patch.object(simlab, "_PairStream",
+                                             _spy(calls, "stream", simlab._PairStream)))
+            blocks.install(stack)
             try:
-                return calibration_experiment(config).to_json(), calls
+                return calibration_experiment(config).to_json(), calls, blocks
             except ModelError as exc:
-                return str(exc), calls
+                return str(exc), calls, blocks
 
     real = simlab._SAMPLE_CHUNK
-    whole, _ = experiment(real, 1)
+    whole, _, _ = experiment(real, 1)
     for cpus in (1, 2, 4):
-        blocked, calls = experiment(real if block_rows is None else block_rows * overlap, cpus)
+        chunk = real if block_rows is None else block_rows * (overlap + shift)
+        blocked, calls, blocks = experiment(chunk, cpus)
         assert blocked == whole, cpus
-        w, traffic = calls["weights"][2], calls["traffic"][2]
+        w, stream = calls["weights"][2], calls["stream"][2]
+        traffic = generate_traffic(*calls["stream"][0])
         try:
             evidence, lengths = run_evidence_oracle(w, cipher_coincidences(traffic))
         except ModelError as exc:
             assert blocked == str(exc)
-            assert "combine" not in calls
             continue
-        (_, prior, run_evidence, _), _, (_, log_odds, _) = calls["combine"]
+        run_evidence, log_odds, posterior = blocks.scores(config.n_pairs)
+        _, expected_log_odds, expected_posterior = simlab._combine(
+            w, stream.prior_log_odds, evidence, overlap)
         assert (run_evidence == evidence).all()
-        assert (log_odds == simlab._combine(w, prior, evidence, overlap)[1]).all()
+        assert (log_odds == expected_log_odds).all()
+        assert (posterior == expected_posterior).all()
         max_run = int(lengths.max()) if lengths.size else 0
         assert json.loads(blocked)["totals"]["max_run_scored"] == max_run
 
@@ -523,9 +660,8 @@ def test_iid_report_is_the_same_at_any_number_of_corpus_texts(c, corpus_size):
 
 
 def test_experiment_peaks_below_seven_bytes_per_cell():
-    # The traffic's letters, ciphered in place, and keys, less B's keys once
-    # they are enciphered, and block-sized scoring temporaries: about 6.2 B
-    # per cell.
+    # The pairs' scores and their binning, 35 B a pair, and a block of pairs
+    # read and scored: about 1.4 B per cell.
     config = ExperimentConfig(SKEWED4, corpus_size=20_000, n_pairs=20_000, overlap=50,
                               fraction_right=0.5, seed=8)
     tracemalloc.start()
@@ -538,8 +674,8 @@ def test_experiment_peaks_below_seven_bytes_per_cell():
 
 
 def test_threaded_experiment_peaks_below_seven_bytes_per_cell(monkeypatch):
-    # Just past the size where an iid text fills in parts, the texts'
-    # temporaries sit beside the key draws.
+    # Just past the size where pairs are read in two row parts, each
+    # part's block sits beside the other's.
     monkeypatch.setattr(simlab, "_cpus", lambda: 2)
     assert 21_000 * 50 >= repfit.rng._MIN_PART
     config = ExperimentConfig(SKEWED4, corpus_size=20_000, n_pairs=21_000, overlap=50,
@@ -560,10 +696,10 @@ def test_threaded_experiment_peaks_below_seven_bytes_per_cell(monkeypatch):
 ], ids=["skewed4-1cpu", "skewed4-2cpus", "uniform26-2cpus"])
 def test_experiment_holds_whole_keys_only_off_powers_of_two(monkeypatch, lm, n_pairs, cpus,
                                                             bound):
-    # A power-of-two alphabet's keys are read a block at a time as the
-    # pairs are enciphered, so the peak is the letters, ciphered in place,
-    # and block-sized temporaries: about 3 B a cell.  At c = 26 the int16
-    # key streams are drawn whole, 4 B a cell more.
+    # A power-of-two alphabet's pairs are drawn, enciphered and scored a
+    # block at a time, so the peak is the scores and a block a row part:
+    # about 1.4 B a cell.  At c = 26 the int16 key streams are drawn whole,
+    # 4 B a cell more.
     monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
     config = ExperimentConfig(lm, corpus_size=20_000, n_pairs=n_pairs, overlap=50,
                               fraction_right=0.5, seed=8)
@@ -591,6 +727,24 @@ def test_traffic_bytes_bound_the_experiment_peak(monkeypatch, c, n_pairs, overla
     finally:
         tracemalloc.stop()
     assert peak < simlab._traffic_bytes(c, n_pairs, overlap)
+
+
+def test_experiment_peak_does_not_grow_with_message_length(monkeypatch):
+    # Pairs are drawn, enciphered and scored a block at a time, so ten
+    # times the message cells add at most a block a CPU, not the cells.
+    cpus = 2
+    monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
+    peaks = []
+    for msg_len in (50, 500):
+        config = ExperimentConfig(SKEWED4, corpus_size=0, n_pairs=20_000, overlap=msg_len,
+                                  fraction_right=0.5, seed=8, urn="hatted")
+        tracemalloc.start()
+        try:
+            calibration_experiment(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= cpus << 20, peaks
 
 
 def _markov26():
