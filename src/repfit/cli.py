@@ -275,17 +275,18 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = read_object(Path(args.config).read_bytes(), "experiment config")
     config = simlab.ExperimentConfig.from_dict(doc)
-    # The census runs beside the joined corpus letters, a byte each, and
-    # the traffic after both are freed.
+    # The census runs beside the joined corpus letters, a byte each, and the
+    # pair stream's set-up; the traffic after the letters are freed.
     letters = config.corpus_size if config.urn == "from-corpus" else 0
     length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
+    cells = f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells"
+    shape = (config.language.alphabet_size, config.n_pairs, length[1],
+             length[1] - config.overlap, config.language.kind == "markov-1")
     _check_fits_in_memory({
-        f"corpus_size {letters} letters":
-            letters + _census_bytes(letters, config.language.alphabet_size, config.r_max),
-        f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells":
-            simlab._traffic_bytes(config.language.alphabet_size, config.n_pairs, length[1],
-                                  length[1] - config.overlap,
-                                  config.language.kind == "markov-1"),
+        f"corpus_size {letters} letters beside the set-up of {cells}":
+            letters + _census_bytes(letters, config.language.alphabet_size, config.r_max)
+            + simlab._setup_bytes(*shape),
+        cells: simlab._traffic_bytes(*shape),
     })
     report = simlab.calibration_experiment(config)
     _write_artifact(args.out, report.to_json())

@@ -271,26 +271,40 @@ class _PairStream:
                 else:
                     _fill_categorical(out.reshape(-1), self.lm.letter_probs, text, _SAMPLE_CHUNK)
             key, key_b = [reader.read(block[: len(a)]) for reader, block in keys]
-            np.copyto(key_b, key[:, self.shift :], where=self.is_right[pairs, None])
+            right = np.flatnonzero(self.is_right[pairs])
+            key_b[right] = key[right, self.shift :]
             _encipher(b, key_b, c)
             _encipher(a, key[:, :msg_len], c)
             yield pairs, a, b
+
+
+def _held_bytes(c: int, msg_len: int, shift: int, chain: bool) -> int:
+    """Bytes a pair that a _PairStream holds whole: the int16 key streams of
+    an alphabet that is not a power of two, 2 bytes a key (2 * msg_len +
+    shift a pair), and the two texts of a markov-1 language, 2 bytes a
+    message cell."""
+    return (2 * (2 * msg_len + shift) if c & (c - 1) else 0) + (2 * msg_len if chain else 0)
+
+
+def _setup_bytes(c: int, n_pairs: int, msg_len: int, shift: int = 0,
+                 chain: bool = False) -> int:
+    """The peak bytes of a _PairStream's set-up: what it holds whole, and 9
+    bytes a pair for the int64 label permutation and the labels."""
+    return (9 + _held_bytes(c, msg_len, shift, chain)) * n_pairs
 
 
 def _traffic_bytes(c: int, n_pairs: int, msg_len: int, shift: int = 0,
                    chain: bool = False) -> int:
     """The peak bytes, rounded up, of calibration_experiment's traffic of
     ``n_pairs`` messages of ``msg_len`` letters, B's ``shift`` letters on
-    from A's: per pair, the scores and their binning, 40 bytes; per row
-    part (see _PairStream.parts), a block of _SAMPLE_CHUNK // msg_len rows,
-    or one, read and scored at 20 bytes a cell and 64 a row; and what is
-    held whole: the int16 key streams of an alphabet that is not a power of
-    two, 2 bytes a key (2 * msg_len + shift a pair), and the two texts of a
-    markov-1 language, 2 bytes a message cell."""
+    from A's: per pair, the scores and their binning, 40 bytes, and what
+    the stream holds whole; per row part (see _PairStream.parts), a block
+    of _SAMPLE_CHUNK // msg_len rows, or one, read and scored at 20 bytes a
+    cell and 64 a row."""
     rows = min(n_pairs, max(1, _SAMPLE_CHUNK // max(1, msg_len)))
     parts = len(_parts(n_pairs, n_pairs * msg_len, _cpus()))
-    whole = (2 * (2 * msg_len + shift) if c & (c - 1) else 0) + (2 * msg_len if chain else 0)
-    return (40 + whole) * n_pairs + parts * rows * (20 * msg_len + 64)
+    per_pair = 40 + _held_bytes(c, msg_len, shift, chain)
+    return per_pair * n_pairs + parts * rows * (20 * msg_len + 64)
 
 
 def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: float) -> None:
@@ -311,11 +325,12 @@ def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: flo
 def _encipher(plain: np.ndarray, key: np.ndarray, c: int) -> None:
     """(plain + key) mod c written over ``plain``, both uint8 letters < c.
 
-    Both letters are < c <= 256, so their uint16 sum s is below 2c, and
-    min(s, s - c) is s mod c because s - c wraps around when s < c.
+    Their sum s is below 2c, so it fits in uint8 for c <= 128, else in
+    uint16, and min(s, s - c) is s mod c because s - c wraps around, past
+    s, when s < c.
     """
-    s = np.add(plain, key, dtype=np.uint16)
-    np.minimum(s, s - np.uint16(c), out=plain, casting="unsafe")
+    s = np.add(plain, key, dtype=np.uint8 if c <= 128 else np.uint16)
+    np.minimum(s, s - s.dtype.type(c), out=plain, casting="unsafe")
 
 
 def run_length_table(coincidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,7 +442,10 @@ class ExperimentConfig:
 
 
 def _corpus_texts(lm: LanguageModel, total: int, n_decodes: int, rng: np.random.Generator):
-    n_decodes = max(1, min(n_decodes, total))
+    """The corpus, as ``n_decodes`` texts of near-equal length.  An i.i.d.
+    corpus's texts are consecutive draws of one stream, so it is drawn as
+    one; ``n_decodes`` only restarts a markov-1 chain."""
+    n_decodes = 1 if lm.kind == "iid-skewed" else max(1, min(n_decodes, total))
     base = total // n_decodes
     lengths = [base] * n_decodes
     lengths[-1] += total - base * n_decodes
@@ -454,28 +472,29 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"n_decodes must be >= 1, got {config.n_decodes}")
     if config.corpus_size < 0:
         raise ValidationError(f"corpus_size must be >= 0, got {config.corpus_size}")
+    if config.urn not in ("from-corpus", "hatted"):
+        raise ValidationError(f"unknown urn kind {config.urn!r}")
     master = checked_rng(config.seed)
+    # The texts are freed once joined, and the joined letters once the urn
+    # is fitted and the stream set up, so the traffic sits beside neither.
+    corpus = (build_corpus(_corpus_texts(lm, config.corpus_size, config.n_decodes, master),
+                           lm.alphabet_size) if config.urn == "from-corpus" else None)
+    seed = int(master.integers(0, 2**63))
 
-    if config.urn == "from-corpus":
-        # The texts are freed once joined, and the joined letters once
-        # censused, so the traffic sits beside neither.
-        corpus = build_corpus(_corpus_texts(lm, config.corpus_size, config.n_decodes, master),
-                              lm.alphabet_size)
+    def fit():
+        if corpus is None:
+            return weights(hatted_urn(lm.alphabet_size), log_base="nat",
+                           floor=None if config.smoothing == "auto" else config.smoothing)
         stats = compute_statistics(corpus, r_max=config.r_max)
-        del corpus
-        model = urn_from_stats(stats)
         # Half a card keeps unseen long runs scorable without inventing
         # meaningful evidence mass.
         floor = 0.5 / stats.total_cards if config.smoothing == "auto" else config.smoothing
-    elif config.urn == "hatted":
-        model = hatted_urn(lm.alphabet_size)
-        floor = None if config.smoothing == "auto" else config.smoothing
-    else:
-        raise ValidationError(f"unknown urn kind {config.urn!r}")
+        return weights(urn_from_stats(stats), log_base="nat", floor=floor)
 
-    w = weights(model, log_base="nat", floor=floor)
-    stream = _PairStream(lm, n_pairs, msg_len, overlap, config.fraction_right,
-                         int(master.integers(0, 2**63)))
+    # The urn is fitted on this thread, the stream set up on another.
+    w, stream = _in_threads([fit, partial(_PairStream, lm, n_pairs, msg_len, overlap,
+                                          config.fraction_right, seed)])
+    del corpus
 
     # Each row part reads its pairs a block at a time and scores them as
     # they are drawn, each row's weights summed run by run.  A
@@ -501,31 +520,39 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
     del stream  # its whole keys or texts, if any, go before the binning arrays
 
     # In Python floats, so that an overflow reads inf without a numpy warning.
-    if not float(np.abs(log_odds).max()) / bin_width < 2.0**63:
+    if not float(np.maximum(log_odds.max(), -log_odds.min())) / bin_width < 2.0**63:
         raise ValidationError(
             f"bin_width {config.bin_width} is too small: log-odds / bin_width must be finite "
             "and its floor must fit in int64"
         )
-    bin_ids = log_odds / bin_width
-    bin_ids = np.floor(bin_ids, out=bin_ids).astype(np.int64)
-    ids = np.sort(bin_ids)  # np.unique would hash them, ~10x slower here
-    unique_ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-    del ids
-    # Each pair's index among the distinct bin ids: looked up in a table
-    # where the ids span at most a bin a pair, else searched for (~12x slower).
-    first, span = unique_ids[0], int(unique_ids[-1]) - int(unique_ids[0]) + 1
-    if span <= n_pairs:
-        table = np.zeros(span, dtype=np.intp)
-        table[unique_ids - first] = np.arange(unique_ids.size)
+    # The floored quotients, built a chunk at a time beside the int64 ids.
+    bin_ids = np.empty(n_pairs, dtype=np.int64)
+    quotient = np.empty(min(n_pairs, _SAMPLE_CHUNK))
+    for lo in range(0, n_pairs, _SAMPLE_CHUNK):
+        q = np.divide(log_odds[lo : lo + _SAMPLE_CHUNK], bin_width, out=quotient[: n_pairs - lo])
+        bin_ids[lo : lo + q.size] = np.floor(q, out=q)
+    del quotient
+    # Each pair's bin counted from the lowest where the ids span at most a
+    # bin a pair, else its index among the distinct ids, searched for (~12x
+    # slower).  The counts and the posterior sums, in pair order, follow.
+    first, last = int(bin_ids.min()), int(bin_ids.max())
+    if last - first < n_pairs:
         bin_ids -= first
-        inverse = table[bin_ids]
+        unique_ids = None
     else:
-        inverse = unique_ids.searchsorted(bin_ids)
+        ids = np.sort(bin_ids)  # np.unique would hash them, ~10x slower here
+        unique_ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        del ids
+        bin_ids = unique_ids.searchsorted(bin_ids)
+    sum_post = np.bincount(bin_ids, weights=posterior)
+    del posterior
+    n_total = np.bincount(bin_ids)
+    n_right = np.bincount(np.compress(is_right, bin_ids), minlength=n_total.size)
     del bin_ids
-    n_total = np.bincount(inverse)
-    n_right = np.bincount(inverse[is_right], minlength=unique_ids.size)
-    mean_post = np.bincount(inverse, weights=posterior) / n_total
-    del inverse
+    held = np.flatnonzero(n_total)
+    unique_ids = first + held if unique_ids is None else unique_ids
+    n_total, n_right = n_total[held], n_right[held]
+    mean_post = sum_post[held] / n_total
 
     bins = []
     for i, bin_id in enumerate(unique_ids):
@@ -544,7 +571,7 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-    right, wrong = log_odds[is_right], log_odds[~is_right]
+    right, wrong = np.compress(is_right, log_odds), np.compress(~is_right, log_odds)
     totals = {
         "n_pairs": n_pairs,
         "n_right": right.size,

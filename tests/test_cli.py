@@ -609,12 +609,14 @@ def test_stats_memory_check_counts_the_letters_beside_the_census(tmp_path, capsy
         assert json.loads(out.read_text())["N"] == 1100
 
 
-@pytest.mark.parametrize("spare, code", [(550, 3), (1100, 0)])
+@pytest.mark.parametrize("spare, code", [(550, 3), (6000, 0)])
 def test_simulate_memory_check_counts_the_letters_beside_the_census(tmp_path, capsys, monkeypatch,
                                                                     spare, code):
     # A from-corpus urn's census runs beside the joined corpus, a byte a
     # letter: memory for the census of 1100 letters and half of the letters
-    # is too little.
+    # is too little.  The census also runs beside the set-up of the stream
+    # of 100 pairs of 10 letters at c = 26: their int16 keys and labels,
+    # 4900 bytes, which the second case grants with the letters.
     monkeypatch.setattr(repfit.cli, "_physical_memory",
                         lambda: repfit.corpus._census_bytes(1100, 26, 5) + spare)
     doc = {"language": {"c": 26}, "corpus_size": 1100, "r_max": 5, "n_pairs": 100,
@@ -628,6 +630,30 @@ def test_simulate_memory_check_counts_the_letters_beside_the_census(tmp_path, ca
         assert not report.exists()
     else:
         assert json.loads(report.read_text())["totals"]["n_pairs"] == 100
+
+
+def test_simulate_memory_check_counts_the_stream_set_up_beside_the_census(tmp_path, capsys,
+                                                                          monkeypatch):
+    # The census and the pair stream's set-up run at once: memory for
+    # either alone, and for the traffic after them, is too little for both.
+    # The set-up holds the int16 keys of c = 26, 2 * 2 * overlap bytes a
+    # pair, and the label permutation and labels, 9 more.
+    monkeypatch.setattr(repfit.corpus, "_cpus", lambda: 1)
+    monkeypatch.setattr(simlab, "_cpus", lambda: 1)
+    letters, n_pairs, overlap = 200_000, 20_000, 10
+    census = letters + repfit.corpus._census_bytes(letters, 26, 5)
+    set_up = n_pairs * (2 * 2 * overlap + 9)
+    memory = max(census, set_up) + min(census, set_up) // 2
+    assert simlab._traffic_bytes(26, n_pairs, overlap) < memory < census + set_up
+    monkeypatch.setattr(repfit.cli, "_physical_memory", lambda: memory)
+    doc = {"language": {"c": 26}, "corpus_size": letters, "r_max": 5, "n_pairs": n_pairs,
+           "overlap": overlap, "fraction_right": 0.5, "seed": 1}
+    config = write(tmp_path, "config.json", json.dumps(doc))
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "simulate", "--config", config, "--out", str(report))
+    assert code == 3, err
+    assert f"corpus_size {letters} letters" in err and f"n_pairs {n_pairs}" in err
+    assert "memory" in err and not report.exists()
 
 
 @pytest.mark.parametrize("command, owner, heavy", [

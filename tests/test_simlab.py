@@ -295,10 +295,11 @@ def test_parts_without_pairs_read_none(monkeypatch):
     assert report.totals["n_pairs"] == 3
 
 
-@pytest.mark.parametrize("c", [4, 256])
+@pytest.mark.parametrize("c", [4, 128, 129, 256])
 @pytest.mark.parametrize("block_rows", [1, 7])
 def test_traffic_enciphered_in_blocks_equals_the_reference_draws(c, block_rows):
-    # _encipher works _SAMPLE_CHUNK cells at a time: here 1 or 7 rows of a message.
+    # _encipher works _SAMPLE_CHUNK cells at a time: here 1 or 7 rows of a
+    # message, its sums in uint8 up to c = 128 and in uint16 above.
     lm = LanguageModel(alphabet_size=c)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(simlab, "_SAMPLE_CHUNK", block_rows * 12)
@@ -308,6 +309,16 @@ def test_traffic_enciphered_in_blocks_equals_the_reference_draws(c, block_rows):
     got = (traffic.cipher_a, traffic.cipher_b, traffic.is_right)
     for array, reference in zip(got, expected):
         assert np.array_equal(array, reference)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 26, 127, 128, 129, 200, 255, 256])
+def test_encipher_is_the_modular_sum_of_every_letter_pair(c):
+    # The sum is taken in uint8 up to c = 128 and in uint16 above.
+    plain, key = (grid.astype(np.uint8) for grid in np.meshgrid(np.arange(c), np.arange(c)))
+    cipher = plain.copy()
+    simlab._encipher(cipher, key, c)
+    assert cipher.dtype == np.uint8
+    assert np.array_equal(cipher, (plain.astype(int) + key) % c)
 
 
 def test_right_pairs_coincide_exactly_where_plaintexts_do():
@@ -659,9 +670,47 @@ def test_iid_report_is_the_same_at_any_number_of_corpus_texts(c, corpus_size):
     assert reports[0] == reports[1]
 
 
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("c", [2, 4, 26, 256])
+@pytest.mark.parametrize("corpus_size", [101, 2_049])
+@pytest.mark.parametrize("n_decodes", [1, 7, 50, 3_000])
+def test_iid_corpus_is_its_texts_drawn_as_one(c, corpus_size, n_decodes):
+    # The lab draws an i.i.d. corpus in one call; its letters, and the
+    # stream seed master draws next, are those of n_decodes texts of near-
+    # equal length (the last takes the remainder), drawn one after another.
+    lm = _skewed(c)
+    rng = np.random.default_rng(c + n_decodes)
+    texts = max(1, min(n_decodes, corpus_size))
+    lengths = [corpus_size // texts] * texts
+    lengths[-1] += corpus_size % texts
+    expected = np.concatenate([rng.choice(c, size=n, p=lm.letter_probs) for n in lengths])
+    expected_seed = int(rng.integers(0, 2**63))
+
+    seen, real_census = {}, simlab.compute_statistics
+
+    def census(corpus, r_max):
+        seen["codes"] = corpus.codes.copy()
+        return real_census(corpus, r_max)
+
+    def stream(*args):
+        seen["seed"] = args[-1]
+        raise _Stop
+
+    config = ExperimentConfig(lm, corpus_size=corpus_size, n_pairs=10, overlap=5,
+                              fraction_right=0.5, seed=c + n_decodes, n_decodes=n_decodes)
+    with patch.object(simlab, "compute_statistics", census), \
+            patch.object(simlab, "_PairStream", stream), pytest.raises(_Stop):
+        calibration_experiment(config)
+    assert np.array_equal(seen["codes"], expected)
+    assert seen["seed"] == expected_seed
+
+
 def test_experiment_peaks_below_seven_bytes_per_cell():
-    # The pairs' scores and their binning, 35 B a pair, and a block of pairs
-    # read and scored: about 1.4 B per cell.
+    # The pairs' scores and their binning, under 28 B a pair, and a block of
+    # pairs read and scored: about 1.4 B per cell.
     config = ExperimentConfig(SKEWED4, corpus_size=20_000, n_pairs=20_000, overlap=50,
                               fraction_right=0.5, seed=8)
     tracemalloc.start()
@@ -745,6 +794,23 @@ def test_experiment_peak_does_not_grow_with_message_length(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= cpus << 20, peaks
+
+
+def test_binning_peaks_at_the_scores_and_one_bin_id_array(monkeypatch):
+    # The scores and labels, 17 B a pair, and the int64 bin ids, 8 more:
+    # the quotient is built a chunk at a time, the posteriors freed before
+    # the counts, and no full-size copy is made beside them.
+    monkeypatch.setattr(simlab, "_cpus", lambda: 1)
+    n_pairs = 200_000
+    config = ExperimentConfig(SKEWED4, corpus_size=0, n_pairs=n_pairs, overlap=50,
+                              fraction_right=0.5, seed=8, urn="hatted")
+    tracemalloc.start()
+    try:
+        calibration_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_pairs <= 28, peak / n_pairs
 
 
 def _markov26():
