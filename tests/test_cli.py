@@ -609,16 +609,18 @@ def test_stats_memory_check_counts_the_letters_beside_the_census(tmp_path, capsy
         assert json.loads(out.read_text())["N"] == 1100
 
 
-@pytest.mark.parametrize("spare, code", [(550, 3), (6000, 0)])
+@pytest.mark.parametrize("spare, code", [(550, 3), (1100, 0)])
 def test_simulate_memory_check_counts_the_letters_beside_the_census(tmp_path, capsys, monkeypatch,
                                                                     spare, code):
     # A from-corpus urn's census runs beside the joined corpus, a byte a
     # letter: memory for the census of 1100 letters and half of the letters
     # is too little.  The census also runs beside the set-up of the stream
-    # of 100 pairs of 10 letters at c = 26: their int16 keys and labels,
-    # 4900 bytes, which the second case grants with the letters.
+    # of 100 pairs of 10 letters at c = 26, their int16 keys and labels,
+    # which both cases grant.
+    set_up = simlab._setup_bytes(26, 100, 10)
+    assert set_up == 4900
     monkeypatch.setattr(repfit.cli, "_physical_memory",
-                        lambda: repfit.corpus._census_bytes(1100, 26, 5) + spare)
+                        lambda: repfit.corpus._census_bytes(1100, 26, 5) + set_up + spare)
     doc = {"language": {"c": 26}, "corpus_size": 1100, "r_max": 5, "n_pairs": 100,
            "overlap": 10, "fraction_right": 0.5, "seed": 1}
     config = write(tmp_path, "config.json", json.dumps(doc))
