@@ -280,8 +280,7 @@ def _cmd_simulate(args) -> int:
     letters = config.corpus_size if config.urn == "from-corpus" else 0
     length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
     cells = f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells"
-    shape = (config.language.alphabet_size, config.n_pairs, length[1],
-             length[1] - config.overlap, config.language.kind == "markov-1")
+    shape = (config.n_pairs, length[1], config.language.kind == "markov-1")
     _check_fits_in_memory({
         f"corpus_size {letters} letters beside the set-up of {cells}":
             letters + _census_bytes(letters, config.language.alphabet_size, config.r_max)

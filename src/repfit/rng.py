@@ -3,8 +3,8 @@
 This module owns the one categorical fill, which draws the letters of an
 i.i.d. text and the cards of an urn alike, the one rule that cuts work
 into thread parts, and key streams read a block at a time: numpy draws the
-few keys at either edge of a power-of-two stream, and each reader draws
-the whole 64-bit outputs between from its own copy of the generator.
+few keys at either edge of a stream, and each reader filters the whole
+64-bit outputs between, as numpy would, from its own copy of the generator.
 """
 
 import copy
@@ -25,6 +25,8 @@ _MIN_PART = 1 << 20
 # half each for its two markov-1 texts), and the census's keys, one per
 # doubling step packed or order counted.
 _SAMPLE_CHUNK = 1 << 16
+# Outputs a key stream's keys are counted by: a reader starts at a block.
+_KEY_BLOCK = _SAMPLE_CHUNK // 4
 # Cdf entries below 1.0 past which a categorical fill searches the cdf per
 # uniform, not passes over the uniforms per entry: on 2^16 uniforms, ~4.5 ms
 # both ways at 256, 6 against 19 ms at 1,024 (2 vCPU Xeon VM, numpy 2.4).
@@ -113,78 +115,86 @@ def _fill_categorical(codes: np.ndarray, p: np.ndarray, rng: np.random.Generator
             part += hit[: part.size]
 
 
+def _halves(bit: np.random.BitGenerator, outputs: int) -> np.ndarray:
+    """The 16-bit halves of ``bit``'s next ``outputs`` outputs, low first."""
+    return bit.random_raw(outputs).astype("<u8", copy=False).view("<u2")
+
+
+def _kept(halves: np.ndarray, c: int) -> np.ndarray:
+    """Which ``halves`` x numpy's bounded draw of keys < c keeps: those whose
+    wrapping uint16 product x * c is at least 2**16 mod c (0 for c = 2**b)."""
+    return np.multiply(halves, np.uint16(c)) >= (1 << 16) % c
+
+
 class _Keys(NamedTuple):
-    """A stream of keys: ``head``, then four keys from each of ``outputs``
-    64-bit outputs of ``body``, each the top 16 - ``shift`` bits of a
-    little-endian 16-bit half, then ``tail``."""
+    """A stream of keys: ``head``, then the key (x * c) >> 16 of each half x
+    of ``body``'s outputs that _kept keeps.  ``kept[i]`` counts the body's
+    keys before output i * _KEY_BLOCK."""
 
     head: np.ndarray
-    body: np.random.BitGenerator | None
-    outputs: int
-    tail: np.ndarray
-    shift: int
+    body: np.random.BitGenerator
+    kept: np.ndarray
+    c: int
 
 
 def _split_keys(rng: np.random.Generator, n: int, c: int) -> _Keys:
     """The ``n`` keys of ``rng.integers(0, c, n, dtype=np.int16)``, to read
     with _KeyReader; ``rng`` is left where that draw leaves it.
 
-    For c = 2**b numpy's bounded draw rejects nothing: a key is the top b
-    bits of one 16-bit half of a 32-bit draw, low half first, so keys come
-    four to a 64-bit output.  numpy draws the keys at either edge here:
-    first those of a 32-bit value the bit generator buffers, then the last
-    one to four keys, leaving the buffer as its own draw of them all would.
-    The body between is a copy of the bit generator at its first whole
-    output, split as rng._split's uniforms are.  Other alphabets reject a
-    data-dependent count of draws, so all their keys are drawn here, as the
-    head.
+    numpy draws the keys at either edge here: first those of the kept
+    halves of a 32-bit value the bit generator buffers, then those from the
+    last output whose count of keys before it is known, leaving the buffer
+    as its own draw of them all would.  The body between is a copy of the
+    bit generator at its first whole output; ``rng`` advances past it,
+    dropping a buffered value whose halves numpy would drop too.  For
+    c = 2**b each output holds four keys; otherwise a pass over a copy of
+    the body counts each block's keys up to the block of the last.
     """
-    if c & (c - 1):
-        return _Keys(rng.integers(0, c, n, dtype=np.int16), None, 0, np.empty(0, np.int16), 0)
-    head = rng.integers(0, c, min(n, 2) if _advanceable(rng).state["has_uint32"] else 0,
-                        dtype=np.int16)
-    outputs = max(0, n - head.size - 1) // 4
-    (body,) = _split(rng, [outputs])
-    tail = rng.integers(0, c, n - head.size - 4 * outputs, dtype=np.int16)
-    return _Keys(head, body.bit_generator, outputs, tail, 17 - c.bit_length())
+    state = _advanceable(rng).state
+    buffered = np.array([state["uinteger"]] * state["has_uint32"], "<u4").view("<u2")
+    head = rng.integers(0, c, min(n, np.count_nonzero(_kept(buffered, c))), dtype=np.int16)
+    n, body = n - head.size, _advanced(rng.bit_generator, 0)
+    if (1 << 16) % c:
+        kept, counter = [0], _advanced(body, 0)
+        while (total := kept[-1] + np.count_nonzero(_kept(_halves(counter, _KEY_BLOCK), c))) < n:
+            kept.append(total)
+        last, before = (len(kept) - 1) * _KEY_BLOCK, kept[-1]
+    else:
+        kept, last = range(0, max(n, 1), 4 * _KEY_BLOCK), max(n - 1, 0) // 4
+        before = 4 * last
+    if n:
+        rng.bit_generator.advance(last)
+        rng.integers(0, c, n - before, dtype=np.int16)
+    return _Keys(head, body, np.array(kept), c)
 
 
 class _KeyReader:
     """Reads the keys of a stream in order from key ``start``, a block at a
-    time, from its own copy of the body advanced to the output that holds
-    key ``start``.  The first block drops that output's leading keys; the
-    last output read is kept for a block that starts inside it."""
+    time, from its own copy of the body advanced to the block that holds
+    key ``start``, and on past the body's last whole output.  Keys not yet
+    read wait as values whose bits past ``shift`` are keys: a kept half x at
+    c = 2**b, else x * c, and the head's keys shifted up."""
 
     def __init__(self, keys: _Keys, start: int):
-        self.keys, self.pos = keys, start
-        self.next = min(max(start - keys.head.size, 0) // 4, keys.outputs)
-        self.last = np.empty(4, dtype=np.uint16)
-        if keys.body is not None:
-            self.body = _advanced(keys.body, self.next)
+        self.keys = keys
+        skip = max(start - keys.head.size, 0)
+        block = int(keys.kept.searchsorted(skip, side="right")) - 1
+        self.body, self.skip = _advanced(keys.body, block * _KEY_BLOCK), skip - keys.kept[block]
+        self.shift = 16 if (1 << 16) % keys.c else 17 - keys.c.bit_length()
+        self.halves = keys.head[start:].astype(np.uint32) << self.shift
 
     def read(self, out: np.ndarray) -> np.ndarray:
         """``out``, a contiguous uint8 array, filled with the next keys."""
-        head, _, outputs, tail, shift = self.keys
-        flat = out.reshape(-1)
-        lo, hi = self.pos, self.pos + flat.size
-        self.pos = hi
-        start, stop = head.size, head.size + 4 * outputs
-        flat[: max(0, min(hi, start) - lo)] = head[lo : min(hi, start)]
-        flat[max(lo, stop) - lo :] = tail[max(lo, stop) - stop : max(hi, stop) - stop]
-        # The body's keys s..e, counted from its first.
-        s, e = max(lo, start) - start, min(hi, stop) - start
-        dst = flat[s + start - lo :]
-        if s < e and s < 4 * self.next:
-            k = min(e, 4 * self.next) - s
-            np.right_shift(self.last[s % 4 : s % 4 + k], shift, out=dst[:k], casting="unsafe")
-            dst, s = dst[k:], s + k
-        if s < e:
-            raw = self.body.random_raw(-(-e // 4) - self.next).astype("<u8", copy=False)
-            halves = raw.view("<u2")
-            np.right_shift(halves[s - 4 * self.next : e - 4 * self.next], shift,
-                           out=dst[: e - s], casting="unsafe")
-            self.next += raw.size
-            self.last[:] = halves[-4:]
+        dst, c = out.reshape(-1), self.keys.c
+        while dst.size:
+            if not self.halves.size:
+                halves = _halves(self.body, -(-(dst.size + self.skip) // 4))
+                if (1 << 16) % c:
+                    halves = np.multiply(halves[_kept(halves, c)], c, dtype=np.uint32)
+                self.halves, self.skip = halves[self.skip :], max(0, self.skip - halves.size)
+            k = min(dst.size, self.halves.size)
+            np.right_shift(self.halves[:k], self.shift, out=dst[:k], casting="unsafe")
+            self.halves, dst = self.halves[k:].copy(), dst[k:]
         return out
 
 

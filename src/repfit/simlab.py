@@ -204,11 +204,12 @@ def generate_traffic(
 
 class _PairStream:
     """generate_traffic's pairs, to read in order from any pair (see
-    blocks).  It holds the labels, the key streams (rng._split_keys:
-    their edges, or, where c is not a power of two, every key) and each
-    text's generator at its first uniform, or, for a markov-1 text, the
-    text, drawn whole here: its start states come from ``rng``, and its
-    chain fills on a thread beside the keys and labels.
+    blocks).  It holds the labels, the key streams (rng._split_keys: their
+    edge keys, a generator at each body's first output, and the body's keys
+    counted a block of outputs at a time) and each text's generator at its
+    first uniform, or, for a markov-1 text, the text, drawn whole here: its
+    start states come from ``rng``, and its chain fills on a thread beside
+    the keys and labels.
 
     The draws are made on default_rng(seed) in this order: text A's and
     text B's uniforms (rng._split), the shared and B-only key streams, then
@@ -278,33 +279,23 @@ class _PairStream:
             yield pairs, a, b
 
 
-def _held_bytes(c: int, msg_len: int, shift: int, chain: bool) -> int:
-    """Bytes a pair that a _PairStream holds whole: the int16 key streams of
-    an alphabet that is not a power of two, 2 bytes a key (2 * msg_len +
-    shift a pair), and the two texts of a markov-1 language, 2 bytes a
-    message cell."""
-    return (2 * (2 * msg_len + shift) if c & (c - 1) else 0) + (2 * msg_len if chain else 0)
+def _setup_bytes(n_pairs: int, msg_len: int, chain: bool = False) -> int:
+    """The peak bytes of a _PairStream's set-up: 9 bytes a pair for the
+    int64 label permutation and the labels, and the two texts of a
+    markov-1 language, drawn whole, 2 bytes a message cell."""
+    return (9 + (2 * msg_len if chain else 0)) * n_pairs
 
 
-def _setup_bytes(c: int, n_pairs: int, msg_len: int, shift: int = 0,
-                 chain: bool = False) -> int:
-    """The peak bytes of a _PairStream's set-up: what it holds whole, and 9
-    bytes a pair for the int64 label permutation and the labels."""
-    return (9 + _held_bytes(c, msg_len, shift, chain)) * n_pairs
-
-
-def _traffic_bytes(c: int, n_pairs: int, msg_len: int, shift: int = 0,
-                   chain: bool = False) -> int:
+def _traffic_bytes(n_pairs: int, msg_len: int, chain: bool = False) -> int:
     """The peak bytes, rounded up, of calibration_experiment's traffic of
-    ``n_pairs`` messages of ``msg_len`` letters, B's ``shift`` letters on
-    from A's: per pair, the scores and their binning, 40 bytes, and what
-    the stream holds whole; per row part (see _PairStream.parts), a block
-    of _SAMPLE_CHUNK // msg_len rows, or one, read and scored at 20 bytes a
+    ``n_pairs`` messages of ``msg_len`` letters: per pair, the scores and
+    their binning, 40 bytes, and a markov-1 language's texts, 2 bytes a
+    message cell; per row part (see _PairStream.parts), a block of
+    _SAMPLE_CHUNK // msg_len rows, or one, read and scored at 20 bytes a
     cell and 64 a row."""
     rows = min(n_pairs, max(1, _SAMPLE_CHUNK // max(1, msg_len)))
     parts = len(_parts(n_pairs, n_pairs * msg_len, _cpus()))
-    per_pair = 40 + _held_bytes(c, msg_len, shift, chain)
-    return per_pair * n_pairs + parts * rows * (20 * msg_len + 64)
+    return (40 + (2 * msg_len if chain else 0)) * n_pairs + parts * rows * (20 * msg_len + 64)
 
 
 def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: float) -> None:
@@ -317,8 +308,8 @@ def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: flo
         raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
     if 2 * n_pairs * (2 * msg_len - overlap) > np.iinfo(np.intp).max:
         raise ValidationError(
-            f"n_pairs {n_pairs} x (2 * msg_len {msg_len} - overlap {overlap}) int16 key "
-            "cells are too many to address"
+            f"n_pairs {n_pairs} x (2 * msg_len {msg_len} - overlap {overlap}) key "
+            "positions are too many to address"
         )
 
 
@@ -517,7 +508,7 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     max_run = max(_in_threads([partial(score, lo, hi) for lo, hi in stream.parts()]))
     is_right = stream.is_right
-    del stream  # its whole keys or texts, if any, go before the binning arrays
+    del stream  # its markov-1 texts, if any, go before the binning arrays
 
     # In Python floats, so that an overflow reads inf without a numpy warning.
     if not float(np.maximum(log_odds.max(), -log_odds.min())) / bin_width < 2.0**63:

@@ -536,15 +536,15 @@ def test_simulate_beyond_memory_exits_3_before_drawing(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("c, n_pairs, overlap, code", [
-    (4, 10_000, 50, 0), (26, 10_000, 50, 3), (4, 60_000, 50, 3), (4, 40_000, 1, 3)])
+    (4, 10_000, 50, 0), (26, 10_000, 50, 0), (4, 60_000, 50, 3), (4, 40_000, 1, 3)])
 def test_simulate_memory_check_counts_whole_keys_only_where_they_are_drawn(
         tmp_path, capsys, monkeypatch, c, n_pairs, overlap, code):
     # 10,000 pairs of 50 letters take 40 bytes a pair and a block of 1,310
-    # rows, 1.8 MB, at c = 4, whose keys are read a block at a time, and
-    # 2 MB more at c = 26, whose int16 keys are held whole: the memory here
-    # lies between, above the hatted urn's census floor.  60,000 such pairs
-    # take 2.4 MB for their scores and binning alone, and 40,000 one-letter
-    # messages are few cells, but a block of 40,000 rows.
+    # rows, 1.8 MB, at c = 4 and c = 26 alike, whose keys are both read a
+    # block at a time: the memory here lies above that and the hatted urn's
+    # census floor.  60,000 such pairs take 2.4 MB for their scores and
+    # binning alone, and 40,000 one-letter messages are few cells, but a
+    # block of 40,000 rows.
     monkeypatch.setattr(repfit.corpus, "_cpus", lambda: 1)
     monkeypatch.setattr(simlab, "_cpus", lambda: 1)
     monkeypatch.setattr(repfit.cli, "_physical_memory", lambda: 5 * 10_000 * 50)
@@ -615,10 +615,10 @@ def test_simulate_memory_check_counts_the_letters_beside_the_census(tmp_path, ca
     # A from-corpus urn's census runs beside the joined corpus, a byte a
     # letter: memory for the census of 1100 letters and half of the letters
     # is too little.  The census also runs beside the set-up of the stream
-    # of 100 pairs of 10 letters at c = 26, their int16 keys and labels,
-    # which both cases grant.
-    set_up = simlab._setup_bytes(26, 100, 10)
-    assert set_up == 4900
+    # of 100 pairs of 10 letters, their label permutation and labels, which
+    # both cases grant.
+    set_up = simlab._setup_bytes(100, 10)
+    assert set_up == 900
     monkeypatch.setattr(repfit.cli, "_physical_memory",
                         lambda: repfit.corpus._census_bytes(1100, 26, 5) + set_up + spare)
     doc = {"language": {"c": 26}, "corpus_size": 1100, "r_max": 5, "n_pairs": 100,
@@ -638,17 +638,18 @@ def test_simulate_memory_check_counts_the_stream_set_up_beside_the_census(tmp_pa
                                                                           monkeypatch):
     # The census and the pair stream's set-up run at once: memory for
     # either alone, and for the traffic after them, is too little for both.
-    # The set-up holds the int16 keys of c = 26, 2 * 2 * overlap bytes a
-    # pair, and the label permutation and labels, 9 more.
+    # The set-up of a markov-1 language holds its two texts whole, 2 *
+    # overlap bytes a pair, and the label permutation and labels, 9 more.
     monkeypatch.setattr(repfit.corpus, "_cpus", lambda: 1)
     monkeypatch.setattr(simlab, "_cpus", lambda: 1)
     letters, n_pairs, overlap = 200_000, 20_000, 10
     census = letters + repfit.corpus._census_bytes(letters, 26, 5)
-    set_up = n_pairs * (2 * 2 * overlap + 9)
+    set_up = n_pairs * (2 * overlap + 9)
     memory = max(census, set_up) + min(census, set_up) // 2
-    assert simlab._traffic_bytes(26, n_pairs, overlap) < memory < census + set_up
+    assert simlab._traffic_bytes(n_pairs, overlap, chain=True) < memory < census + set_up
     monkeypatch.setattr(repfit.cli, "_physical_memory", lambda: memory)
-    doc = {"language": {"c": 26}, "corpus_size": letters, "r_max": 5, "n_pairs": n_pairs,
+    language = {"c": 26, "kind": "markov-1", "transition": [[1 / 26] * 26] * 26}
+    doc = {"language": language, "corpus_size": letters, "r_max": 5, "n_pairs": n_pairs,
            "overlap": overlap, "fraction_right": 0.5, "seed": 1}
     config = write(tmp_path, "config.json", json.dumps(doc))
     report = tmp_path / "report.json"

@@ -199,17 +199,20 @@ def test_traffic_bookkeeping():
     LanguageModel(alphabet_size=4, kind="markov-1",
                   transition=np.array([[0.6, 0.4, 0.0, 0.0], [0.1, 0.1, 0.7, 0.1],
                                        [0.3, 0.3, 0.2, 0.2], [0.0, 0.0, 0.5, 0.5]])),
-], ids=["skewed4", "uniform200", "uniform256", "markov3", "markov4"])
+    LanguageModel(alphabet_size=241),
+], ids=["skewed4", "uniform200", "uniform256", "markov3", "markov4", "uniform241"])
 def test_traffic_equals_the_reference_draws(lm, monkeypatch):
     # Ciphertexts are written over the plaintexts, in whole-batch blocks or
-    # in blocks of 1 or 7 rows.  On 2 or 4 CPUs the texts, and the keys of a
-    # power-of-two alphabet, fill on threads that interleave between most
-    # bytecodes, each iid text and key stream in 1 or 2 parts, and the pairs
-    # are enciphered in 1, 2 or 4 row parts; every thread has ended on return.
-    # A's 301 x 57 keys take an odd count of 32-bit draws, so B's start
-    # from the half of a 64-bit output that the generator buffers.
+    # in blocks of 1 or 7 rows.  On 2 or 4 CPUs the texts fill on threads
+    # that interleave between most bytecodes, each iid text in 1 or 2
+    # parts, and the pairs are enciphered in 1, 2 or 4 row parts, whose
+    # keys start inside blocks of 7 counted outputs; every thread has ended
+    # on return.  A's 301 x 57 keys take an odd count of 32-bit draws at
+    # c = 2**b, so B's start from the half of a 64-bit output that the
+    # generator buffers; at c = 200 and 241 halves are dropped.
     expected = traffic_oracle(lm, 301, 41, 25, 0.4, 2718)[2:]
     monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
+    monkeypatch.setattr(repfit.rng, "_KEY_BLOCK", 7)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -242,15 +245,19 @@ def _skewed(c):
     _skewed(256),
     LanguageModel(alphabet_size=3, kind="markov-1",
                   transition=np.array([[0.6, 0.4, 0.0], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]])),
-], ids=["skewed4", "skewed26", "skewed256", "markov3"])
+    LanguageModel(alphabet_size=241),
+], ids=["skewed4", "skewed26", "skewed256", "markov3", "uniform241"])
 def test_lab_blocks_equal_the_reference_draws(lm, monkeypatch):
     # The lab reads its pairs from the stream on 1, 2 or 4 row parts, each
     # 1 or 7 rows at a time or in one block, on threads that interleave
-    # between most bytecodes; laid end to end, the enciphered blocks it
-    # scores are the reference traffic, and the stream's labels its labels.
+    # between most bytecodes, with keys counted in blocks of 7 outputs, so
+    # that parts start inside them; laid end to end, the enciphered blocks
+    # it scores are the reference traffic, and the stream's labels its
+    # labels.
     config = ExperimentConfig(lm, corpus_size=0, n_pairs=301, overlap=25, msg_len=41,
                               fraction_right=0.4, seed=2718, urn="hatted")
     monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
+    monkeypatch.setattr(repfit.rng, "_KEY_BLOCK", 7)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -741,14 +748,15 @@ def test_threaded_experiment_peaks_below_seven_bytes_per_cell(monkeypatch):
 @pytest.mark.parametrize("lm, n_pairs, cpus, bound", [
     (SKEWED4, 20_000, 1, 3.5),
     (SKEWED4, 21_000, 2, 3.5),
-    (LanguageModel(alphabet_size=26), 21_000, 2, 7.0),
-], ids=["skewed4-1cpu", "skewed4-2cpus", "uniform26-2cpus"])
+    (LanguageModel(alphabet_size=26), 21_000, 2, 2.0),
+    (LanguageModel(alphabet_size=241), 21_000, 2, 2.0),
+], ids=["skewed4-1cpu", "skewed4-2cpus", "uniform26-2cpus", "uniform241-2cpus"])
 def test_experiment_holds_whole_keys_only_off_powers_of_two(monkeypatch, lm, n_pairs, cpus,
                                                             bound):
-    # A power-of-two alphabet's pairs are drawn, enciphered and scored a
-    # block at a time, so the peak is the scores and a block a row part:
-    # about 1.4 B a cell.  At c = 26 the int16 key streams are drawn whole,
-    # 4 B a cell more.
+    # The pairs of every alphabet are drawn, enciphered and scored a block
+    # at a time, so the peak is the scores and a block a row part: 1.2 to
+    # 1.4 B a cell.  No key stream is held whole, not even where c is not a
+    # power of two and numpy's draw drops some halves.
     monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
     config = ExperimentConfig(lm, corpus_size=20_000, n_pairs=n_pairs, overlap=50,
                               fraction_right=0.5, seed=8)
@@ -761,7 +769,7 @@ def test_experiment_holds_whole_keys_only_off_powers_of_two(monkeypatch, lm, n_p
     assert peak / (n_pairs * 50) < bound
 
 
-@pytest.mark.parametrize("c", [4, 26])
+@pytest.mark.parametrize("c", [4, 26, 241])
 @pytest.mark.parametrize("n_pairs, overlap", [(40_000, 1), (20_000, 50)])
 def test_traffic_bytes_bound_the_experiment_peak(monkeypatch, c, n_pairs, overlap):
     # The rule the simulate memory check uses: at one letter a message the
@@ -775,7 +783,7 @@ def test_traffic_bytes_bound_the_experiment_peak(monkeypatch, c, n_pairs, overla
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < simlab._traffic_bytes(c, n_pairs, overlap)
+    assert peak < simlab._traffic_bytes(n_pairs, overlap)
 
 
 def test_experiment_peak_does_not_grow_with_message_length(monkeypatch):
