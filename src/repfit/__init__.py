@@ -44,7 +44,6 @@ from .simlab import (
     ExperimentReport,
     LanguageModel,
     calibration_experiment,
-    generate_traffic,
 )
 from .urn import (
     UrnModel,
@@ -80,7 +79,6 @@ __all__ = [
     "compute_statistics",
     "exact_completion_probability",
     "figure_from_comparison",
-    "generate_traffic",
     "hatted_urn",
     "odds_of_fit",
     "parse_figure",

@@ -7,12 +7,15 @@ package functions, which exactness tests require the package to equal.  None
 of it shares code with the package; the normalizer and the figure parser
 raise the package's own exception types, and the scoring oracle builds the
 package's ``FitScore`` from given weights, so that results can be compared
-field by field.  The one exception is ``run_evidence_oracle``, the earlier
-whole-matrix evidence sum, which calls the package's ``run_length_table``
-(itself checked against ``scan_run_spectrum``).  It also holds helpers that
-only tests use (``Alignment``, ``draws_needed``, ``hatted_apparent``,
+field by field.  There are two exceptions.  ``run_evidence_oracle``, the
+earlier whole-matrix evidence sum, calls the package's ``run_length_table``
+(itself checked against ``scan_run_spectrum``).  ``generate_traffic`` reads
+the lab's pairs whole from a ``simlab._PairStream`` (itself checked against
+``traffic_oracle``).  It also holds helpers that only tests use
+(``Alignment``, ``draws_needed``, ``hatted_apparent``,
 ``wrong_relevance_ratio``, ``acceptance_proportion``, ``repeated_letters``,
-``figure_of``, ``cipher_coincidences``, ``figures_from_draws``).
+``figure_of``, ``Traffic``, ``generate_traffic``, ``cipher_coincidences``,
+``figures_from_draws``).
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial
 
 import numpy as np
 
+from repfit import simlab
 from repfit.errors import FigureParseError, NormalizationError, ValidationError
 from repfit.figures import O_CELL, RepetitionFigure, X_CELL
+from repfit.rng import _in_threads
 from repfit.scoring import FitScore
 from repfit.simlab import run_length_table
 
@@ -380,6 +386,36 @@ def traffic_oracle(lm, n_pairs: int, msg_len: int, overlap: int, fraction_right:
     cipher_a = (plain[0].astype(int) + key[:, :msg_len]) % c
     cipher_b = (plain[1].astype(int) + key_b) % c
     return plain[0], plain[1], cipher_a, cipher_b, is_right
+
+
+@dataclass(frozen=True)
+class Traffic:
+    """A labelled batch of enciphered message pairs compared at one shift."""
+
+    cipher_a: np.ndarray
+    cipher_b: np.ndarray
+    is_right: np.ndarray
+    shift: int
+    overlap: int
+    prior_log_odds: float
+
+
+def generate_traffic(lm, n_pairs: int, msg_len: int, overlap: int, fraction_right: float,
+                     seed: int | None = None) -> Traffic:
+    """The lab's pairs for these arguments, as whole arrays: each row part
+    of a simlab._PairStream read on a thread of its own, a block at a time,
+    every block copied into place."""
+    simlab._check_traffic(n_pairs, msg_len, overlap, fraction_right)
+    stream = simlab._PairStream(lm, n_pairs, msg_len, overlap, fraction_right, seed)
+    whole = [np.empty((n_pairs, msg_len), dtype=np.uint8) for _ in "ab"]
+
+    def read(lo, hi):
+        for pairs, *blocks in stream.blocks(lo, hi):
+            for out, block in zip(whole, blocks):
+                out[pairs] = block
+
+    _in_threads([partial(read, lo, hi) for lo, hi in stream.parts()])
+    return Traffic(*whole, stream.is_right, stream.shift, overlap, stream.prior_log_odds)
 
 
 def cipher_coincidences(traffic) -> np.ndarray:

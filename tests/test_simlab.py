@@ -20,13 +20,13 @@ from repfit.simlab import (
     ExperimentConfig,
     LanguageModel,
     calibration_experiment,
-    generate_traffic,
     run_length_table,
 )
 
 from oracles import (
     bins_oracle,
     cipher_coincidences,
+    generate_traffic,
     markov_sample_oracle,
     report_text_oracle,
     run_evidence_oracle,
@@ -751,8 +751,8 @@ def test_threaded_experiment_peaks_below_seven_bytes_per_cell(monkeypatch):
     (LanguageModel(alphabet_size=26), 21_000, 2, 2.0),
     (LanguageModel(alphabet_size=241), 21_000, 2, 2.0),
 ], ids=["skewed4-1cpu", "skewed4-2cpus", "uniform26-2cpus", "uniform241-2cpus"])
-def test_experiment_holds_whole_keys_only_off_powers_of_two(monkeypatch, lm, n_pairs, cpus,
-                                                            bound):
+def test_experiment_reads_every_alphabets_keys_a_block_at_a_time(
+        monkeypatch, lm, n_pairs, cpus, bound):
     # The pairs of every alphabet are drawn, enciphered and scored a block
     # at a time, so the peak is the scores and a block a row part: 1.2 to
     # 1.4 B a cell.  No key stream is held whole, not even where c is not a
