@@ -164,6 +164,8 @@ def _cmd_stats(args) -> int:
             texts.append(policy.normalize(Path(path).read_bytes()))
         except NormalizationError as exc:
             raise NormalizationError(f"{path}: {exc}", exc.offset) from exc
+        if not texts[-1].size:
+            raise ValidationError(f"{path}: holds no letters")
     letters = sum(text.size for text in texts)
     _check_fits_in_memory({f"{letters} letters censused to --rmax {args.rmax}":
                            letters + _census_bytes(letters, policy.alphabet_size, args.rmax)})
@@ -280,12 +282,11 @@ def _cmd_simulate(args) -> int:
     letters = config.corpus_size if config.urn == "from-corpus" else 0
     length = ("overlap", config.overlap) if config.msg_len is None else ("msg_len", config.msg_len)
     cells = f"n_pairs {config.n_pairs} x {length[0]} {length[1]} message cells"
-    shape = (config.n_pairs, length[1], config.language.kind == "markov-1")
     _check_fits_in_memory({
         f"corpus_size {letters} letters beside the set-up of {cells}":
             letters + _census_bytes(letters, config.language.alphabet_size, config.r_max)
-            + simlab._setup_bytes(*shape),
-        cells: simlab._traffic_bytes(*shape),
+            + simlab._setup_bytes(config.n_pairs),
+        cells: simlab._traffic_bytes(config.n_pairs, length[1]),
     })
     report = simlab.calibration_experiment(config)
     _write_artifact(args.out, report.to_json())

@@ -20,9 +20,9 @@ from .errors import ValidationError
 # than the second core saves.
 _MIN_PART = 1 << 20
 # Values worked per step, 2^16 of 8 bytes, kept in cache across many passes:
-# a categorical fill's uniforms, one pass per cdf entry (the urn sampler's
-# cards, a sampled text's fill jobs in sum, or a block of traffic's pairs,
-# half each for its two markov-1 texts), and the census's keys, one per
+# a categorical fill's uniforms, one pass per cdf entry, or a chain's c sums
+# a row, twice over (the urn sampler's cards, a sampled text's fill jobs in
+# sum, or a block of traffic's pairs), and the census's keys, one per
 # doubling step packed or order counted.
 _SAMPLE_CHUNK = 1 << 16
 # Outputs a key stream's keys are counted by: a reader starts at a block.
@@ -204,10 +204,10 @@ def _cpus() -> int:
 
 
 def _in_threads(jobs: list) -> list:
-    """Call every job at once, the first on this thread and each other on a
-    thread of its own; their results in order.  The exception of the first
-    job in the list that raises one is raised here, after every thread has
-    ended."""
+    """Call the jobs, at least one, at once: the first on this thread and
+    each other on a thread of its own; their results in order.  The
+    exception of the first job in the list that raises one is raised here,
+    after every thread has ended."""
     results, errors = [None] * len(jobs), [None] * len(jobs)
 
     def run(i):
@@ -219,8 +219,7 @@ def _in_threads(jobs: list) -> list:
     threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(jobs))]
     for thread in threads:
         thread.start()
-    if jobs:
-        run(0)
+    run(0)
     for thread in threads:
         thread.join()
     for exc in errors:

@@ -12,8 +12,8 @@ uses independent streams, making aligned ciphertext letters independent and
 uniform regardless of the language.
 
 Each pair is drawn, enciphered and scored once, a block of pairs at a
-time: the lab holds its pairs' scores, and whole only what cannot be read
-by block (see _PairStream).
+time: the lab holds its pairs' scores and labels, and no text or key
+stream whole (see _PairStream).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class LanguageModel:
     kind: str = "iid-skewed"
     letter_probs: np.ndarray | None = None
     transition: np.ndarray | None = None
+    _cum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.alphabet_size
@@ -82,62 +83,60 @@ class LanguageModel:
                 raise ValidationError("transition rows must be non-negative and sum to 1")
             t.flags.writeable = False
             object.__setattr__(self, "transition", t)
+            # The next state from u is the count of a row's cumulative sums,
+            # bar the last, that are <= u: the first sum > u once the last is
+            # infinity, so a row summing to just under 1 yields c-1, never 0.
+            cum = np.cumsum(t, axis=1)
+            cum[:, -1] = np.inf
+            object.__setattr__(self, "_cum", cum)
         else:
             raise ValidationError(
                 f"unknown language kind {self.kind!r}; expected 'iid-skewed' or 'markov-1'"
             )
 
     def sample(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        """Letter codes of the given shape (rows are independent texts).
-
-        The iid path equals ``rng``'s ``Generator.choice`` draw of ``shape``
-        from ``c`` letters at ``letter_probs``, as ``uint8``, and leaves
-        ``rng`` in the same state.  ``rng`` must draw from a PCG64 or
+        """Letter codes of the given shape (rows are independent texts), in
+        row parts filled on threads (see rng._parts), each from its own copy
+        of ``rng`` (see rng._split), which moves past the text.  An iid text
+        equals ``rng``'s ``Generator.choice`` draw of ``shape`` from ``c``
+        letters at ``letter_probs``, as ``uint8``, and leaves ``rng`` in the
+        same state; a chain draws its start states on ``rng``, then a uniform
+        a row for each later column.  ``rng`` must draw from a PCG64 or
         PCG64DXSM bit generator, as default_rng's does.
         """
-        out, jobs = self._draw(shape, rng, _cpus(), _SAMPLE_CHUNK)
-        _in_threads(jobs)
-        return out
-
-    def _draw(self, shape: tuple[int, ...], rng: np.random.Generator,
-              cpus: int, chunk: int) -> tuple[np.ndarray, list]:
-        """A text of the given shape, and the jobs that fill it.
-
-        The draws whose count depends on the data (markov-1 start states)
-        are made on ``rng`` here, and ``rng`` is moved past the text's
-        uniforms, which the jobs draw from their own copies of it (see
-        rng._split).  The jobs may run in any order, at once, on any thread,
-        and together hold temporaries for at most ``chunk`` uniforms.  An
-        iid text is cut into one job per part (see rng._parts); a chain is
-        one job.
-        """
-        c = self.alphabet_size
         out = np.empty(shape, dtype=np.uint8)
         if self.kind == "iid-skewed":
-            codes = out.reshape(-1)
-            parts = _parts(codes.size, codes.size, cpus)
-            gens = _split(rng, [hi - lo for lo, hi in parts])
-            step = max(1, chunk // len(parts))
-            return out, [partial(_fill_categorical, codes[lo:hi], self.letter_probs, gen, step)
-                         for (lo, hi), gen in zip(parts, gens)]
-        rows, cols = (1, shape[0]) if len(shape) == 1 else shape
-        if cols == 0:
-            return out, []
-        text = out.reshape(rows, cols)
-        # The next state is the count of the cumulative sums, bar the last,
-        # that are <= u: the first sum > u once the last is set to infinity.
-        # So a row summing to just under 1 yields c-1, never 0.
-        cum = np.cumsum(self.transition, axis=1)
-        cum[:, -1] = np.inf
-        text[:, 0] = rng.integers(0, c, size=rows)
-        (gen,) = _split(rng, [rows * (cols - 1)])
-        return out, [partial(_fill_chain, text, cum, gen, max(1, chunk // c))]
+            text = out.reshape(-1)
+            parts = _parts(text.size, text.size, _cpus())
+            sizes = [hi - lo for lo, hi in parts]
+            fill = partial(_fill_categorical, p=self.letter_probs,
+                           chunk=max(1, _SAMPLE_CHUNK // len(parts)))
+        else:
+            rows, cols = (1, shape[0]) if len(shape) == 1 else shape
+            if cols == 0:
+                return out
+            text = out.reshape(rows, cols)
+            text[:, 0] = rng.integers(0, self.alphabet_size, size=rows)
+            parts = _parts(rows, text.size, _cpus())
+            # Each part's generator starts at its first row's uniform of
+            # column 1, and rng moves past the rows * (cols - 1) of them all.
+            sizes = [hi - lo for lo, hi in parts]
+            sizes[-1] += rows * (cols - 2)
+            # A block of rows holds c float64 sums and comparisons a row, and
+            # numpy's buffer for the broadcast uniforms, up to as many sums.
+            block = max(1, _SAMPLE_CHUNK // (2 * self.alphabet_size * len(parts)))
+            fill = partial(_fill_chain, cum=self._cum, block=block, stride=rows)
+        gens = _split(rng, sizes)
+        _in_threads([partial(fill, text[lo:hi], rng=gen) for (lo, hi), gen in zip(parts, gens)])
+        return out
 
 
 def _fill_chain(text: np.ndarray, cum: np.ndarray, rng: np.random.Generator,
-                block: int) -> None:
-    """Each row of ``text`` a chain on from its first letter, one column of
-    uniforms at a time, drawn and stepped ``block`` rows at a time."""
+                block: int, stride: int) -> None:
+    """Each row of ``text`` a chain on from its first letter at the sums
+    ``cum`` (LanguageModel._cum), stepped ``block`` rows at a time.  Each
+    later column takes the next uniform of ``rng`` a row, after which
+    ``rng`` moves on to ``stride`` uniforms past the column's first."""
     rows = len(text)
     u = np.empty((min(rows, block), 1))
     blocks = [(slice(lo, lo + block), u[: min(block, rows - lo)]) for lo in range(0, rows, block)]
@@ -145,22 +144,24 @@ def _fill_chain(text: np.ndarray, cum: np.ndarray, rng: np.random.Generator,
     for prev, column in zip(columns, columns[1:]):
         for part, draws in blocks:
             rng.random(out=draws[:, 0])
-            column[part] = (draws < cum[prev[part]]).argmax(axis=1)
+            column[part] = (draws < cum.take(prev[part], axis=0)).argmax(axis=1)
+        if stride > rows:
+            rng.bit_generator.advance(stride - rows)
 
 
 class _PairStream:
     """Labelled message pairs, round(n_pairs * fraction_right) of them in
     depth in shuffled order, enciphered and compared at one shift, to read
-    in order from any pair (see blocks).  It holds the labels, the key streams (rng._split_keys: their
-    edge keys, a generator at each body's first output, and the body's keys
-    counted a block of outputs at a time) and each text's generator at its
-    first uniform, or, for a markov-1 text, the text, drawn whole here: its
-    start states come from ``rng``, and its chain fills on a thread beside
-    the keys and labels.
+    in order from any pair (see blocks).  It holds the labels, the key
+    streams (rng._split_keys: their edge keys, a generator at each body's
+    first output, and the body's keys counted a block of outputs at a
+    time) and each text's generator at its first uniform, with, for a
+    markov-1 text, its start states, a byte a pair.
 
     The draws are made on default_rng(seed) in this order: text A's and
-    text B's uniforms (rng._split), the shared and B-only key streams, then
-    the labels.
+    text B's start states, for a chain, and uniforms (as
+    LanguageModel.sample draws a text of n_pairs rows), the shared and
+    B-only key streams, then the labels.
     """
 
     def __init__(self, lm: LanguageModel, n_pairs: int, msg_len: int, overlap: int,
@@ -169,26 +170,17 @@ class _PairStream:
         self.lm, self.msg_len = lm, msg_len
         self.shift = msg_len - overlap
         self.prior_log_odds = math.log(fraction_right / (1.0 - fraction_right))
-        self.texts, jobs = [], []
+        chain = lm.kind == "markov-1"
+        self.texts = []
         for _ in "ab":
-            if lm.kind == "iid-skewed":
-                self.texts += _split(rng, [n_pairs * msg_len])
-            else:
-                # Each chain holds half the temporaries of one sampled text.
-                text, fill = lm._draw((n_pairs, msg_len), rng, 1, _SAMPLE_CHUNK // 2)
-                self.texts.append(text)
-                jobs += fill
+            starts = rng.integers(0, lm.alphabet_size, n_pairs).astype(np.uint8) if chain else None
+            self.texts.append((starts, *_split(rng, [n_pairs * (msg_len - chain)])))
         # One key stream per pair covering both messages' machine positions; a
         # second, independent stream replaces B's aligned keys for wrong pairs.
         self.widths = (msg_len + self.shift, msg_len)
+        self.keys = [_split_keys(rng, n_pairs * width, lm.alphabet_size) for width in self.widths]
         self.is_right = np.zeros(n_pairs, dtype=bool)
-
-        def keys_and_labels():
-            keys = [_split_keys(rng, n_pairs * width, lm.alphabet_size) for width in self.widths]
-            self.is_right[rng.permutation(n_pairs)[: round(n_pairs * fraction_right)]] = True
-            return keys
-
-        self.keys, *_ = _in_threads([keys_and_labels, *jobs])
+        self.is_right[rng.permutation(n_pairs)[: round(n_pairs * fraction_right)]] = True
 
     def parts(self) -> list[tuple[int, int]]:
         """Row parts of at least _MIN_PART message cells, one per CPU at most."""
@@ -198,25 +190,29 @@ class _PairStream:
     def blocks(self, lo: int, hi: int):
         """Pairs ``lo`` to ``hi`` in order, enciphered, as (pairs, cipher_a,
         cipher_b) blocks of at most _SAMPLE_CHUNK cells, or one pair, in
-        buffers reused from block to block.  An i.i.d. text's letters and
-        the keys are drawn as they are read, each from its own copy of the
-        generator advanced to the pairs' place."""
-        c, msg_len = self.lm.alphabet_size, self.msg_len
+        buffers reused from block to block.  The letters and keys are drawn
+        as they are read, each from its own copy of a generator advanced to
+        its place: an i.i.d. text's and the keys' copies at pair ``lo`` go
+        on from block to block, and a chain's block of rows goes on from
+        their start states from a copy at the block's first row."""
+        c, msg_len, n_pairs = self.lm.alphabet_size, self.msg_len, len(self.is_right)
         rows = max(1, min(hi - lo, _SAMPLE_CHUNK // msg_len))
         keys = [(_KeyReader(stream, lo * width), np.empty((rows, width), dtype=np.uint8))
                 for stream, width in zip(self.keys, self.widths)]
-        texts = [text if isinstance(text, np.ndarray)
-                 else np.random.Generator(_advanced(text.bit_generator, lo * msg_len))
-                 for text in self.texts]
+        texts = [(starts, gen if starts is not None
+                  else np.random.Generator(_advanced(gen.bit_generator, lo * msg_len)))
+                 for starts, gen in self.texts]
         outs = [np.empty((rows, msg_len), dtype=np.uint8) for _ in "ab"]
         for top in range(lo, hi, rows):
             pairs = slice(top, min(top + rows, hi))
             a, b = [out[: pairs.stop - top] for out in outs]
-            for out, text in zip((a, b), texts):
-                if isinstance(text, np.ndarray):
-                    out[...] = text[pairs]
+            for out, (starts, gen) in zip((a, b), texts):
+                if starts is None:
+                    _fill_categorical(out.reshape(-1), self.lm.letter_probs, gen, _SAMPLE_CHUNK)
                 else:
-                    _fill_categorical(out.reshape(-1), self.lm.letter_probs, text, _SAMPLE_CHUNK)
+                    out[:, 0] = starts[pairs]
+                    gen = np.random.Generator(_advanced(gen.bit_generator, top))
+                    _fill_chain(out, self.lm._cum, gen, max(1, _SAMPLE_CHUNK // c), n_pairs)
             key, key_b = [reader.read(block[: len(a)]) for reader, block in keys]
             right = np.flatnonzero(self.is_right[pairs])
             key_b[right] = key[right, self.shift :]
@@ -230,23 +226,22 @@ class _PairStream:
 generate_traffic = _PairStream
 
 
-def _setup_bytes(n_pairs: int, msg_len: int, chain: bool = False) -> int:
+def _setup_bytes(n_pairs: int) -> int:
     """The peak bytes of a _PairStream's set-up: 9 bytes a pair for the
-    int64 label permutation and the labels, and the two texts of a
-    markov-1 language, drawn whole, 2 bytes a message cell."""
-    return (9 + (2 * msg_len if chain else 0)) * n_pairs
+    int64 label permutation and the labels, and 2 for the start states of
+    a markov-1 language's two texts, counted for every language."""
+    return 11 * n_pairs
 
 
-def _traffic_bytes(n_pairs: int, msg_len: int, chain: bool = False) -> int:
+def _traffic_bytes(n_pairs: int, msg_len: int) -> int:
     """The peak bytes, rounded up, of calibration_experiment's traffic of
     ``n_pairs`` messages of ``msg_len`` letters: per pair, the scores and
-    their binning, 40 bytes, and a markov-1 language's texts, 2 bytes a
-    message cell; per row part (see _PairStream.parts), a block of
-    _SAMPLE_CHUNK // msg_len rows, or one, read and scored at 20 bytes a
+    their binning, 40 bytes; per row part (see _PairStream.parts), a block
+    of _SAMPLE_CHUNK // msg_len rows, or one, read and scored at 20 bytes a
     cell and 64 a row."""
     rows = min(n_pairs, max(1, _SAMPLE_CHUNK // max(1, msg_len)))
     parts = len(_parts(n_pairs, n_pairs * msg_len, _cpus()))
-    return (40 + (2 * msg_len if chain else 0)) * n_pairs + parts * rows * (20 * msg_len + 64)
+    return 40 * n_pairs + parts * rows * (20 * msg_len + 64)
 
 
 def _check_traffic(n_pairs: int, msg_len: int, overlap: int, fraction_right: float) -> None:
@@ -416,6 +411,9 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"corpus_size must be >= 0, got {config.corpus_size}")
     if config.urn not in ("from-corpus", "hatted"):
         raise ValidationError(f"unknown urn kind {config.urn!r}")
+    if config.urn == "from-corpus" and config.corpus_size <= config.r_max:
+        raise ValidationError(f"a from-corpus urn needs corpus_size > r_max, got corpus_size "
+                              f"{config.corpus_size} and r_max {config.r_max}")
     master = checked_rng(config.seed)
     # The texts are freed once joined, and the joined letters once the urn
     # is fitted and the stream set up, so the traffic sits beside neither.
@@ -459,7 +457,7 @@ def calibration_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     max_run = max(_in_threads([partial(score, lo, hi) for lo, hi in stream.parts()]))
     is_right = stream.is_right
-    del stream  # its markov-1 texts, if any, go before the binning arrays
+    del stream  # its start states, if any, go before the binning arrays
 
     # In Python floats, so that an overflow reads inf without a numpy warning.
     if not float(np.maximum(log_odds.max(), -log_odds.min())) / bin_width < 2.0**63:

@@ -177,6 +177,17 @@ def test_stats_strip_mode_drops_bad_bytes(tmp_path, capsys):
     assert json.loads(out.read_text())["N"] == 5
 
 
+@pytest.mark.parametrize("text, flags", [("", []), (" \n\t\r\n", []), ("?!.,-", ["--strip"])],
+                         ids=["empty", "whitespace", "stripped-punctuation"])
+def test_stats_of_a_file_without_letters_exits_3_naming_it(tmp_path, capsys, text, flags):
+    # The second file normalizes to no letters: the error names its path.
+    corpus = write(tmp_path, "corpus.txt", "ABRACADABRA")
+    empty = write(tmp_path, "empty.txt", text)
+    code, out, err = run(capsys, "stats", corpus, empty, *flags)
+    assert code == 3
+    assert f"{empty}: holds no letters" in err and out == ""
+
+
 def test_hatted_urn_command(tmp_path, capsys):
     out = tmp_path / "urn.json"
     code, _, _ = run(capsys, "urn", "--hatted", "--alphabet-size", "26", "--out", str(out))
@@ -381,6 +392,9 @@ def test_simulate_bad_config_names_field(tmp_path, capsys):
     pytest.param("overlap", 2**62, id="overlap-2**62"),
     ("language", {"c": 4, "transition": [[0.25] * 4] * 4}),
     ("language", {"c": 2, "kind": "markov-1", "transition": [[0.5, 0.5]] * 2, "probs": [0.5, 0.5]}),
+    ("corpus_size", 0),
+    ("corpus_size", 16),
+    ("r_max", 1000),
 ])
 def test_simulate_bad_config_field_exits_3_naming_it(tmp_path, capsys, field, value):
     doc = {"language": {"c": 4}, "corpus_size": 1000, "n_pairs": 100,
@@ -615,10 +629,10 @@ def test_simulate_memory_check_counts_the_letters_beside_the_census(tmp_path, ca
     # A from-corpus urn's census runs beside the joined corpus, a byte a
     # letter: memory for the census of 1100 letters and half of the letters
     # is too little.  The census also runs beside the set-up of the stream
-    # of 100 pairs of 10 letters, their label permutation and labels, which
-    # both cases grant.
-    set_up = simlab._setup_bytes(100, 10)
-    assert set_up == 900
+    # of 100 pairs of 10 letters, their label permutation, labels and start
+    # states, 11 bytes a pair, which both cases grant.
+    set_up = simlab._setup_bytes(100)
+    assert set_up == 1100
     monkeypatch.setattr(repfit.cli, "_physical_memory",
                         lambda: repfit.corpus._census_bytes(1100, 26, 5) + set_up + spare)
     doc = {"language": {"c": 26}, "corpus_size": 1100, "r_max": 5, "n_pairs": 100,
@@ -638,15 +652,15 @@ def test_simulate_memory_check_counts_the_stream_set_up_beside_the_census(tmp_pa
                                                                           monkeypatch):
     # The census and the pair stream's set-up run at once: memory for
     # either alone, and for the traffic after them, is too little for both.
-    # The set-up of a markov-1 language holds its two texts whole, 2 *
-    # overlap bytes a pair, and the label permutation and labels, 9 more.
+    # The set-up of a markov-1 language holds its two texts' start states,
+    # 2 bytes a pair, and the label permutation and labels, 9 more.
     monkeypatch.setattr(repfit.corpus, "_cpus", lambda: 1)
     monkeypatch.setattr(simlab, "_cpus", lambda: 1)
     letters, n_pairs, overlap = 200_000, 20_000, 10
     census = letters + repfit.corpus._census_bytes(letters, 26, 5)
-    set_up = n_pairs * (2 * overlap + 9)
+    set_up = n_pairs * (2 + 9)
     memory = max(census, set_up) + min(census, set_up) // 2
-    assert simlab._traffic_bytes(n_pairs, overlap, chain=True) < memory < census + set_up
+    assert simlab._traffic_bytes(n_pairs, overlap) < memory < census + set_up
     monkeypatch.setattr(repfit.cli, "_physical_memory", lambda: memory)
     language = {"c": 26, "kind": "markov-1", "transition": [[1 / 26] * 26] * 26}
     doc = {"language": language, "corpus_size": letters, "r_max": 5, "n_pairs": n_pairs,

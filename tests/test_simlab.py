@@ -15,6 +15,7 @@ import repfit.rng
 from repfit import simlab
 from repfit.errors import ModelError, ValidationError
 from repfit.figures import figure_from_comparison
+from repfit.rng import _in_threads
 from repfit.scoring import odds_of_fit
 from repfit.simlab import (
     ExperimentConfig,
@@ -36,6 +37,12 @@ from oracles import (
 
 SKEWED4 = LanguageModel(alphabet_size=4, letter_probs=np.array([0.55, 0.25, 0.15, 0.05]))
 UNIFORM4 = LanguageModel(alphabet_size=4)
+
+
+def _markov(c):
+    transition = np.random.default_rng(2).random((c, c))
+    transition /= transition.sum(axis=1, keepdims=True)
+    return LanguageModel(alphabet_size=c, kind="markov-1", transition=transition)
 
 
 def test_language_model_validation():
@@ -166,6 +173,35 @@ def test_markov_sample_matches_the_letter_by_letter_oracle(c, shape):
     got = lm.sample(shape, np.random.default_rng(99))
     expected = markov_sample_oracle(transition, rows, cols, np.random.default_rng(99))
     assert np.array_equal(got, expected.reshape(shape))
+
+
+@pytest.mark.parametrize("c, shape", [(3, (3, 13)), (5, (12, 9)), (26, (301, 41))],
+                         ids=["c3-3x13", "c5-12x9", "c26-301x41"])
+@pytest.mark.parametrize("block_rows", [None, 1, 4])
+def test_markov_sample_in_row_parts_matches_the_letter_by_letter_oracle(c, shape, block_rows,
+                                                                        monkeypatch):
+    # On 1, 2 or 4 CPUs the rows are cut into as many parts (3 rows on 4
+    # CPUs leave one empty), each a job of its own, stepped at most 1 or 4
+    # rows, or a whole chunk's, at a time from a copy of the generator at
+    # its first row; the generator ends where the oracle's does.
+    lm = _markov(c)
+    monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
+    if block_rows is not None:
+        monkeypatch.setattr(simlab, "_SAMPLE_CHUNK", 2 * c * block_rows)
+    jobs = []
+
+    def spy(fills):
+        jobs.append(len(fills))
+        return _in_threads(fills)
+
+    monkeypatch.setattr(simlab, "_in_threads", spy)
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
+        rng, twin = np.random.default_rng(99), np.random.default_rng(99)
+        got = lm.sample(shape, rng)
+        assert np.array_equal(got, markov_sample_oracle(lm.transition, *shape, twin)), cpus
+        assert rng.random() == twin.random()
+    assert jobs == [1, 2, 4]
 
 
 def test_markov_draw_past_a_row_summing_below_one_is_the_last_state(monkeypatch):
@@ -769,13 +805,16 @@ def test_experiment_reads_every_alphabets_keys_a_block_at_a_time(
     assert peak / (n_pairs * 50) < bound
 
 
-@pytest.mark.parametrize("c", [4, 26, 241])
+@pytest.mark.parametrize("lm", [LanguageModel(alphabet_size=4), LanguageModel(alphabet_size=26),
+                                LanguageModel(alphabet_size=241), _markov(4), _markov(26)],
+                         ids=["4", "26", "241", "markov4", "markov26"])
 @pytest.mark.parametrize("n_pairs, overlap", [(40_000, 1), (20_000, 50)])
-def test_traffic_bytes_bound_the_experiment_peak(monkeypatch, c, n_pairs, overlap):
+def test_traffic_bytes_bound_the_experiment_peak(monkeypatch, lm, n_pairs, overlap):
     # The rule the simulate memory check uses: at one letter a message the
-    # scores and their binning, not the letters, set the peak.
+    # scores and their binning, not the letters, set the peak.  A chain's
+    # texts are read by block too, from their start states, a byte a pair.
     monkeypatch.setattr(simlab, "_cpus", lambda: 2)
-    config = ExperimentConfig(LanguageModel(alphabet_size=c), corpus_size=0, n_pairs=n_pairs,
+    config = ExperimentConfig(lm, corpus_size=0, n_pairs=n_pairs,
                               overlap=overlap, fraction_right=0.5, seed=8, urn="hatted")
     tracemalloc.start()
     try:
@@ -787,21 +826,23 @@ def test_traffic_bytes_bound_the_experiment_peak(monkeypatch, c, n_pairs, overla
 
 
 def test_experiment_peak_does_not_grow_with_message_length(monkeypatch):
-    # Pairs are drawn, enciphered and scored a block at a time, so ten
-    # times the message cells add at most a block a CPU, not the cells.
+    # Pairs are drawn, enciphered and scored a block at a time, a chain's
+    # as an i.i.d. text's, so ten times the message cells add at most a
+    # block a CPU, not the cells.
     cpus = 2
     monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
-    peaks = []
-    for msg_len in (50, 500):
-        config = ExperimentConfig(SKEWED4, corpus_size=0, n_pairs=20_000, overlap=msg_len,
-                                  fraction_right=0.5, seed=8, urn="hatted")
-        tracemalloc.start()
-        try:
-            calibration_experiment(config)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= cpus << 20, peaks
+    for lm in (SKEWED4, _markov(4)):
+        peaks = []
+        for msg_len in (50, 500):
+            config = ExperimentConfig(lm, corpus_size=0, n_pairs=20_000, overlap=msg_len,
+                                      fraction_right=0.5, seed=8, urn="hatted")
+            tracemalloc.start()
+            try:
+                calibration_experiment(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= cpus << 20, (lm.kind, peaks)
 
 
 def test_binning_peaks_at_the_scores_and_one_bin_id_array(monkeypatch):
@@ -821,23 +862,18 @@ def test_binning_peaks_at_the_scores_and_one_bin_id_array(monkeypatch):
     assert peak / n_pairs <= 28, peak / n_pairs
 
 
-def _markov26():
-    transition = np.random.default_rng(2).random((26, 26))
-    transition /= transition.sum(axis=1, keepdims=True)
-    return LanguageModel(alphabet_size=26, kind="markov-1", transition=transition)
-
-
-@pytest.mark.parametrize("lm", [UNIFORM4, _markov26()], ids=["uniform4", "markov26"])
+@pytest.mark.parametrize("lm", [UNIFORM4, _markov(26)], ids=["uniform4", "markov26"])
 def test_fill_jobs_hold_one_chunk_of_temporaries_between_them(lm, monkeypatch):
     # However a text is cut, its jobs together hold float64 uniforms and
     # bool hits, or a block of rows' c-wide sums and comparisons, for at
     # most `chunk` uniforms: 9 bytes each and a few per row of a block, not
-    # a column of the text or rows x c sums.
+    # a column of the text or rows x c sums.  Here sample runs its jobs one
+    # by one, each traced alone.
     monkeypatch.setattr(repfit.rng, "_MIN_PART", 1)
-    chunk = simlab._SAMPLE_CHUNK // 2
-    for cpus in (1, 2, 4):
-        _, jobs = lm._draw((20_000, 50), np.random.default_rng(3), cpus, chunk)
-        peaks = []
+    chunk = simlab._SAMPLE_CHUNK
+    peaks = []
+
+    def one_by_one(jobs):
         for job in jobs:
             tracemalloc.start()
             try:
@@ -845,7 +881,14 @@ def test_fill_jobs_hold_one_chunk_of_temporaries_between_them(lm, monkeypatch):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert sum(peaks) <= 12 * chunk + 4_096 * len(jobs), (cpus, peaks)
+
+    monkeypatch.setattr(simlab, "_in_threads", one_by_one)
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(simlab, "_cpus", lambda: cpus)
+        peaks.clear()
+        lm.sample((20_000, 50), np.random.default_rng(3))
+        assert len(peaks) == cpus
+        assert sum(peaks) <= 12 * chunk + 4_096 * len(peaks), (cpus, peaks)
 
 
 def test_config_parsing_errors_name_the_field():
