@@ -167,6 +167,8 @@ def _cmd_stats(args) -> int:
         if not texts[-1].size:
             raise ValidationError(f"{path}: holds no letters")
     letters = sum(text.size for text in texts)
+    if args.rmax >= letters:
+        raise ValidationError(f"--rmax {args.rmax} must be below the N = {letters} letters read")
     _check_fits_in_memory({f"{letters} letters censused to --rmax {args.rmax}":
                            letters + _census_bytes(letters, policy.alphabet_size, args.rmax)})
     corpus = build_corpus(texts, policy.alphabet_size)

@@ -13,29 +13,23 @@ aligned positions.  Two kinds of repeat counts are derived:
   sides.  They follow from the apparent counts via
   N_r = M_r - 2*M_{r+1} + M_{r+2}.
 
-Apparent counts come from one sort of packed gram keys.  At bits =
-max(1, ceil(log2 c)) bits a symbol, a uint64 word holds k = 64 // bits
-symbols, the first in its top bits, and a circular r_max-gramme takes
-ceil(r_max / k) words: word j of the key at position i is the k-gram at
-i + j*k.  Unsigned order of the keys is lexicographic order of the grams,
-so after the sort every group of grams sharing an r-prefix is contiguous,
-for every r <= r_max at once.  The XOR of two adjacent sorted keys is zero
-on the bits where they agree, so its first set bit falls in the first
-symbol where the grams differ: they share their first r symbols exactly
-when the XOR has no set bit before bit 64*(r // k) + bits*(r % k).  Each
-M_r is read off that adjacency mask.  The result is exact integer
-arithmetic, identical to comparing all N(N-1)/2 rotation pairs directly.
+Apparent counts come from sorts of packed gram keys.  At bits =
+max(1, ceil(log2 c)) bits a symbol, the uint64 key of position i holds the
+circular k-gram at i, k = min(64 // bits, r_max) symbols, the first on top.
+Sorted, two adjacent keys share their first r <= k symbols exactly when
+their XOR has no set bit among its top bits * r: each M_r is read off that
+adjacency mask, exactly as comparing all N(N-1)/2 rotation pairs would.
 
-Memory per letter, beyond the codes themselves: one uint64 per key word.
-Keys are packed and counted _CHUNK positions at a time, so every other
-temporary is chunk-sized and the peak is about 8 bytes per letter for
-one-word keys.  A large corpus of one-word keys is censused in parts, one
-thread per part (see apparent_counts); the parts share the one key array,
-and each thread adds its own chunk-sized temporaries, about 1 MB.  Longer
-keys are sorted by a lexsort over 16-bit pieces, in one part: the keys
-with their pieces or their permuted copies, and the permutation, take 16
-bytes per word and 8 more a letter (40 at two words, 56 at three).
-_census_bytes states this rule, which the command line checks before a census.
+Past k, positions agree on more than d symbols only if their d-grams are
+equal (Karp, Miller & Rosenberg): the census goes on in steps from the
+positions whose d-gram repeats, d = k first, each sorting grams that hold
+their group's id above the key d symbols on, counted by the same rule.
+
+Memory beyond the codes, as _census_bytes states it: 8 bytes a letter for
+the keys, shared by the threads, and chunk-sized temporaries, under 2 MB a
+thread.  Past k, a step adds its sort's int64 order, a byte a gram for the
+group starts, and for each gram kept 8 bytes in the order's place and 4
+for its position: at most 21 bytes a letter more (25 from 2^31 letters).
 
 Card accounting for the urn model: each comparison consumes one card per
 flanked run plus one card per remaining no-coincidence cell, so the corpus
@@ -72,18 +66,16 @@ _WORD_BITS = 64
 
 
 def _key_layout(alphabet_size: int, r_max: int) -> tuple[int, int]:
-    """Bits per symbol and uint64 words of the r_max-gram keys, whole symbols to a word."""
+    """Bits per symbol, and the symbols a uint64 key holds: r_max at most."""
     bits = max(1, (alphabet_size - 1).bit_length())
-    return bits, -(-r_max // (_WORD_BITS // bits))
+    return bits, min(_WORD_BITS // bits, r_max)
 
 
 def _census_bytes(n_letters: int, alphabet_size: int, r_max: int) -> int:
-    """Peak bytes of a census beyond the letter codes: 8 a letter for one-word
-    keys, 16 * w + 8 for w >= 2 words of 64 // bits symbols (the keys, the
-    lexsort's order and the permuted keys), and 2 MB a CPU for the chunk-sized
-    temporaries."""
-    words = _key_layout(alphabet_size, r_max)[1]
-    per_letter = 8 if words <= 1 else 16 * words + 8
+    """Peak bytes of a census beyond the letter codes, by the module
+    docstring's rule, with 2 MB a CPU for the chunk-sized temporaries."""
+    past_k = r_max > _key_layout(alphabet_size, r_max)[1]
+    per_letter = 8 + past_k * (17 + np.min_scalar_type(-n_letters).itemsize)
     return per_letter * n_letters + (_cpus() << 21)
 
 
@@ -192,25 +184,20 @@ def build_corpus(texts: Sequence[Sequence[int]], alphabet_size: int) -> Circular
     return CircularCorpus(np.concatenate(parts, dtype=dtype, casting="unsafe"), alphabet_size)
 
 
-def _pack(codes: np.ndarray, bits: int, r_max: int, words: list[np.ndarray],
-          lo: int, hi: int) -> None:
-    """Write the circular r_max-grams at positions lo..hi-1 into uint64
-    ``words`` (see the module docstring) from top-aligned k-grams, k = 64 //
-    bits or r_max in one word, built _CHUNK positions at a time by Karp,
-    Miller & Rosenberg's doubling: the (a + b)-gram at i is the a-gram at i
-    ORed with the b-gram at i + a shifted right by bits * a.  Each bit of k
-    below its top doubles a (b = a), and a set one then adds a symbol (b = 1).
-    One-word keys take the last step straight into ``words``."""
-    n, k, top = codes.size, min(_WORD_BITS // bits, r_max), _WORD_BITS - bits
-    span = (len(words) - 1) * k  # positions past a chunk's own whose k-grams its keys hold
-    reach = span + k - 1  # symbols a chunk reads past its last position
-    buffers = [np.empty(min(_CHUNK, hi - lo) + reach, np.uint64) for _ in range(2 + bool(span))]
+def _pack(codes: np.ndarray, bits: int, k: int, key: np.ndarray, lo: int, hi: int) -> None:
+    """Write the circular k-grams at positions lo..hi-1 into ``key``, _CHUNK
+    positions at a time, by Karp, Miller & Rosenberg's doubling: the
+    (a + b)-gram at i is the a-gram at i ORed with the b-gram at i + a
+    shifted right by bits * a.  Each bit of k below its top doubles a
+    (b = a), and a set one then adds a symbol (b = 1)."""
+    n, top = codes.size, _WORD_BITS - bits
+    buffers = [np.empty(min(_CHUNK, hi - lo) + k - 1, np.uint64) for _ in range(2)]
     for start in range(lo, hi, _CHUNK):
         stop = min(start + _CHUNK, hi)
-        window = codes[start : stop + reach]
-        if stop + reach > n:  # the last chunk's grams wrap around the circle, maybe more than once
-            window = np.concatenate([window, codes[np.arange(stop + reach - n) % n]])
-        out = buffers[2][: stop - start + span] if span else words[0][start:stop]
+        window = codes[start : stop + k - 1]
+        if stop + k - 1 > n:  # the last chunk's grams wrap around the circle
+            window = np.concatenate([window, codes[: stop + k - 1 - n]])
+        out = key[start:stop]
         grams = np.left_shift(window, top, out=out if k == 1 else buffers[0][: window.size],
                               dtype=np.uint64)
         a, spare = 1, buffers[1]
@@ -224,15 +211,13 @@ def _pack(codes: np.ndarray, bits: int, r_max: int, words: list[np.ndarray],
                     np.left_shift(window[a : a + length], top - bits * a, out=dst, dtype=np.uint64)
                 dst |= grams[:length]
                 grams, a, spare = dst, a + b, grams.base  # the buffer just read is free
-        for j, word in enumerate(words if span else ()):
-            word[start:stop] = out[j * k : j * k + stop - start]
 
 
 def _cuts(codes: np.ndarray, c: int, parts: list[tuple[int, int]]) -> list[int]:
-    """Bounds of about as many parts of the sorted one-word keys as the
-    position ``parts``, each cut where the first symbol changes: the count
-    of codes <= s, counted _CHUNK at a time, nearest each part's end (the
-    lower on a tie), found by a binary search over the symbols s."""
+    """Bounds of about as many parts of the sorted keys as the position
+    ``parts``, each cut where the first symbol changes: the count of codes
+    <= s, counted _CHUNK at a time, nearest each part's end (the lower on a
+    tie), found by a binary search over the symbols s."""
     n = codes.size
     if len(parts) == 1:
         return [0, n]
@@ -247,26 +232,21 @@ def _cuts(codes: np.ndarray, c: int, parts: list[tuple[int, int]]) -> list[int]:
 
 def _sorted_squares(key: np.ndarray, bits: int, r_max: int) -> list[int]:
     key.sort()
-    return _sum_squares([key], bits, r_max)
+    return _sum_squares(key, [bits * r for r in range(1, r_max + 1)])
 
 
 def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
     """M_r for r = 1..r_max: unordered pairs of equal circular r-grammes.
 
-    Sorts the packed r_max-gram keys (see the module docstring), then walks
-    them _CHUNK adjacencies at a time: for each r, an adjacency whose XOR
-    has a set bit among its first r symbols ends a group of equal r-grammes,
-    and the size of the group still open at a chunk's end is carried into
-    the next.  A group of s grams holds s(s-1)/2 pairs and the sizes sum to
-    n, so M_r = (sum s^2 - n) / 2.
-
-    One-word keys are worked in parts, one thread each (see rng._parts):
-    from 2 * _MIN_PART letters on, up to the number of CPUs the process may
-    use.  Each thread packs its share of the positions.  The keys are then
-    cut, by in-place partitions, between the last key of one first symbol
-    and the first of the next, near equal sizes; each thread sorts and
-    counts its part.  Grams with different first symbols share no prefix,
-    so every group lies in one part and the sums of s^2 add up.
+    Sorts the packed keys (see the module docstring) and walks them _CHUNK
+    adjacencies at a time, carrying the size of the group open at a chunk's
+    end into the next: a group of s grams holds s(s-1)/2 pairs and the sizes
+    sum to n, so M_r = (sum s^2 - n) / 2.  Threads (rng._parts: from
+    2 * _MIN_PART letters, as many as the process's CPUs) each pack a share
+    of the positions; up to k, in-place partitions cut the keys near equal
+    sizes where the first symbol changes, and each thread sorts and counts
+    a part, whose grams share no prefix with another's.  Past k, steps run
+    on one thread.
     """
     n = corpus.n_letters
     if r_max < 1:
@@ -275,57 +255,75 @@ def apparent_counts(corpus: CircularCorpus, r_max: int) -> list[int]:
         raise ValidationError(f"r_max must be below the corpus length ({r_max} >= {n})")
 
     c = corpus.alphabet_size
-    bits, n_words = _key_layout(c, r_max)
+    bits, k = _key_layout(c, r_max)
     symbols = corpus.codes.astype(np.min_scalar_type(c - 1), copy=False)
-    words = [np.empty(n, dtype=np.uint64) for _ in range(n_words)]
-    parts = _parts(n, n, 1 if len(words) > 1 or c == 1 else _cpus())
-    _in_threads([partial(_pack, symbols, bits, r_max, words, lo, hi) for lo, hi in parts])
-    if len(words) == 1:
-        key, cuts = words[0], _cuts(symbols, c, parts)
+    key = np.empty(n, dtype=np.uint64)
+    parts = _parts(n, n, 1 if c == 1 else _cpus())
+    _in_threads([partial(_pack, symbols, bits, k, key, lo, hi) for lo, hi in parts])
+    if r_max <= k:
+        cuts = _cuts(symbols, c, parts)
         for lo, cut in zip(cuts, cuts[1:-1]):
             key[lo:].partition(cut - lo)
         squares = _in_threads([partial(_sorted_squares, key[lo:hi], bits, r_max)
                                for lo, hi in zip(cuts, cuts[1:])])
-    else:
-        # lexsort radix-sorts 16-bit keys but merge-sorts wider ones, so it
-        # is given the 16-bit pieces of every word, least significant first.
-        order = np.lexsort([(word >> shift).astype(np.uint16)
-                            for word in reversed(words) for shift in (0, 16, 32, 48)])
-        words = [word[order] for word in words]
-        del order
-        squares = [_sum_squares(words, bits, r_max)]
-    return [(sum(part) - n) // 2 for part in zip(*squares)]
+        return [(sum(part) - n) // 2 for part in zip(*squares)]
+    counts, grams, pos, done, top, take = [], key, None, 0, 0, k
+    while True:
+        order = np.argsort(grams)
+        starts = np.ones(order.size + 1, dtype=bool)  # the sorted grams that open a group
+        squares = _sum_squares(grams, [top + bits * r for r in range(1, take + 1)], order, starts)
+        counts, done = counts + [(s - order.size) // 2 for s in squares], done + take
+        kept = order.size - int(np.count_nonzero(starts[:-1] & starts[1:]))
+        if done == r_max or not kept:
+            return counts + [0] * (r_max - done)
+        top = (kept // 2).bit_length()  # for the group ids, from 1 to kept // 2 at most
+        take = min(k, (_WORD_BITS - top) // bits, r_max - done)
+        grams = order.view(np.uint64)  # a chunk's grams overwrite only order it has read
+        positions, written, opened = np.empty(kept, np.min_scalar_type(-n)), 0, 0
+        for lo in range(0, order.size, _CHUNK):
+            opens = starts[lo : lo + _CHUNK + 1]
+            keep = ~(opens[:-1] & opens[1:])
+            at = order[lo : lo + _CHUNK][keep]
+            at = at if pos is None else pos[at]
+            ids = np.cumsum(opens[:-1][keep], dtype=np.uint64) + opened
+            opened = int(ids[-1]) if ids.size else opened
+            word = key.take(np.add(at, done, dtype=np.intp), mode="wrap") >> top
+            word |= ids << (_WORD_BITS - top)
+            positions[written : written + at.size], grams[written : written + at.size] = at, word
+            written += at.size
+        del order, starts, pos, opens, keep, at, ids, word  # before the grams are copied
+        grams, pos = grams[:written].copy(), positions
 
 
-def _sum_squares(words: list[np.ndarray], bits: int, r_max: int) -> list[int]:
-    """For r = 1..r_max, the sum of s^2 over the groups of the sorted keys
-    equal on their first r symbols.  The first group opens at size 1."""
-    squares, open_size = [0] * r_max, [1] * r_max  # per r: sum s^2 so far, open group
-    n, k = words[0].size, _WORD_BITS // bits
+def _sum_squares(key: np.ndarray, ends: list[int], order: np.ndarray | None = None,
+                 starts: np.ndarray | None = None) -> list[int]:
+    """Per prefix of ``ends`` top bits, the sum of s^2 over the groups of the
+    sorted keys (``key[order]`` if ordered) equal on it, the first open at
+    size 1; ``starts[i]`` is cleared where key i extends a last-prefix group."""
+    squares, open_size = [0] * len(ends), [1] * len(ends)
+    n = key.size if order is None else order.size
     for start in range(0, n - 1, _CHUNK):
         stop = min(start + _CHUNK, n - 1)
-        diffs = [word[start + 1 : stop + 1] ^ word[start:stop] for word in words]
-        for r in range(1, r_max + 1):
-            end = _WORD_BITS * (r // k) + bits * (r % k)
-            closed, open_size[r - 1] = _groups_in_chunk(diffs, end, open_size[r - 1])
-            squares[r - 1] += closed
+        sorted_keys = key[start : stop + 1] if order is None else key[order[start : stop + 1]]
+        diff = sorted_keys[1:] ^ sorted_keys[:-1]
+        for i, end in enumerate(ends):
+            closed, open_size[i] = _groups_in_chunk(diff, end, open_size[i])
+            squares[i] += closed
+        if starts is not None:
+            starts[start + 1 : stop + 1] = diff >= 1 << (_WORD_BITS - ends[-1])
     return [s + size * size for s, size in zip(squares, open_size)]
 
 
-def _groups_in_chunk(diffs: list[np.ndarray], end: int, open_size: int) -> tuple[int, int]:
+def _groups_in_chunk(diff: np.ndarray, end: int, open_size: int) -> tuple[int, int]:
     """From the XORs of a chunk's adjacent keys and the size of the group
     open at its first key: the sum of s^2 over the groups of keys equal on
     their first ``end`` bits that close in the chunk, and the open size."""
-    last = (end - 1) // _WORD_BITS  # the word holding the prefix's last bit
-    breaks = diffs[last] >= 1 << (_WORD_BITS * (last + 1) - end)
-    for diff in diffs[:last]:
-        breaks |= diff != 0
-    at = np.flatnonzero(breaks)
+    at = np.flatnonzero(diff >= 1 << (_WORD_BITS - end))
     if not at.size:
-        return 0, open_size + breaks.size
+        return 0, open_size + diff.size
     first, final = int(at[0]), int(at[-1])
     sizes = np.subtract(at[1:], at[:-1], out=at[:-1])  # in place: no second array
-    return (open_size + first) ** 2 + int(np.inner(sizes, sizes)), breaks.size - final
+    return (open_size + first) ** 2 + int(np.inner(sizes, sizes)), diff.size - final
 
 
 def actual_counts(apparent: Sequence[int]) -> list[int]:

@@ -577,8 +577,9 @@ def test_simulate_memory_check_counts_the_same_bytes_for_every_alphabet(
 
 def test_simulate_census_of_two_word_keys_beyond_memory_exits_3(tmp_path, capsys,
                                                                 monkeypatch):
-    # At c = 26 the default r_max of 16 packs two-word keys, whose census
-    # takes 40 bytes a letter: twice the memory here, where 8.5 would pass.
+    # At c = 26 the default r_max of 16 is past the 12 symbols a key holds,
+    # so the census takes 29 bytes a letter: 1.5 times the memory here,
+    # where 8.5 would pass.
     def experiment(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
@@ -603,6 +604,26 @@ def test_stats_beyond_memory_exits_3_naming_rmax_before_the_census(tmp_path, cap
     code, out, err = run(capsys, "stats", corpus, "--rmax", "5")
     assert code == 3
     assert "1100 letters censused to --rmax 5" in err and "memory" in err and out == ""
+
+
+def test_stats_rmax_past_the_letters_exits_3_naming_rmax_and_n(tmp_path, capsys):
+    # The census of any r_max takes the same memory, so the order is checked
+    # against the letters before the memory.
+    corpus = write(tmp_path, "corpus.txt", "ABRACADABRA" * 2)
+    code, out, err = run(capsys, "stats", corpus, "--rmax", str(2**31))
+    assert code == 3
+    assert f"--rmax {2**31} must be below the N = 22 letters read" in err
+    assert "memory" not in err and out == ""
+
+
+def test_simulate_r_max_past_the_corpus_exits_3_naming_it(tmp_path, capsys):
+    doc = {"language": {"c": 26}, "corpus_size": 1_000, "r_max": 2**40, "n_pairs": 100,
+           "overlap": 10, "fraction_right": 0.5, "seed": 1}
+    config = write(tmp_path, "config.json", json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--config", config)
+    assert code == 3
+    assert f"corpus_size > r_max, got corpus_size 1000 and r_max {2**40}" in err
+    assert "memory" not in err and out == ""
 
 
 @pytest.mark.parametrize("spare, code", [(550, 3), (1100, 0)])
@@ -796,7 +817,7 @@ def test_reproducible_artifacts_keep_their_bytes(tmp_path, capsys):
     corpus = write(tmp_path, "corpus.txt", _pinned_corpus())
     commands = {
         "stats9.json": ["stats", corpus, "--rmax", "9"],
-        "stats14.json": ["stats", corpus, "--rmax", "14"],  # two key words at c = 26
+        "stats14.json": ["stats", corpus, "--rmax", "14"],  # past a key's 12 symbols at c = 26
         "urn.json": ["urn", "--from-stats", str(tmp_path / "stats9.json")],
         "hatted.json": ["urn", "--hatted"],
         "sample.json": ["sample", "--urn", str(tmp_path / "urn.json"),

@@ -155,9 +155,13 @@ def near_periodic_circle(rng: random.Random, n: int, c: int) -> list[int]:
 
 
 def _oracle_cases(rng: random.Random):
-    """(circle, c, r_max) triples: one-word keys at the default order, keys
-    of two words (c=26 at r_max 13-14, c=200 at r_max 9), the smallest
-    alphabets, and the longest order a circle allows."""
+    """(circle, c, r_max) triples: keys of all r_max symbols at the default
+    order, orders past the k symbols a key holds (c=26 at r_max 13-14,
+    c=200 at r_max 9), the smallest alphabets, and the longest order a
+    circle allows.  Past k also: c=70,000 (3 symbols a key), so that
+    several steps extend the repeats; c=2 past 64 symbols; circles where no
+    k-gram repeats, so that the first step ends the census; and periodic
+    circles, where every position repeats at every order."""
     for _ in range(30):
         n = rng.randrange(4, 40)
         c = rng.choice([2, 3, 4, 26])
@@ -173,6 +177,18 @@ def _oracle_cases(rng: random.Random):
             yield make(rng, n, 2), 2, n - 1
             c = rng.choice([3, 26, 200])
             yield make(rng, n, c), c, n - 1
+    for _ in range(4):
+        n = rng.randrange(15, 40)
+        yield near_periodic_circle(rng, n, 70_000), 70_000, rng.choice([10, 14, n - 1])
+        n = rng.randrange(66, 90)
+        yield near_periodic_circle(rng, n, 2), 2, rng.randrange(65, n)
+        yield random_circle(rng, n, 2), 2, rng.randrange(65, n)
+        n = rng.randrange(14, 27)
+        yield rng.sample(range(26), n), 26, rng.randrange(13, n)
+        yield rng.sample(range(200), n), 200, rng.randrange(9, n)
+        block = random_circle(rng, rng.randrange(1, 6), rng.choice([2, 26]))
+        circle = block * rng.randrange(30 // len(block), 60 // len(block))
+        yield circle, 26, rng.randrange(13, len(circle))
 
 
 def test_apparent_and_actual_match_oracles_on_random_circles():
@@ -492,6 +508,26 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def zipf_letters(rng: np.random.Generator, n: int, c: int = 26) -> np.ndarray:
+    """n i.i.d. letter codes, code i drawn with weight 1 / (i + 1)."""
+    weights = 1.0 / np.arange(1, c + 1)
+    return rng.choice(c, size=n, p=weights / weights.sum()).astype(np.uint8)
+
+
+def zipf_word_letters(rng: np.random.Generator, n: int, n_words: int = 20_000) -> np.ndarray:
+    """n letter codes of text whose words are drawn with Zipf weights 1 / rank^1.1
+    from a vocabulary of Zipf-letter words of 1 to 12 letters, written
+    without separators."""
+    lengths = rng.integers(1, 13, size=n_words)
+    spelling = zipf_letters(rng, int(lengths.sum()))
+    weights = np.arange(1, n_words + 1) ** -1.1
+    words = rng.choice(n_words, size=n // 2 + 1, p=weights / weights.sum())  # > n letters
+    sizes = lengths[words]
+    ends = np.cumsum(sizes)
+    index = np.repeat(np.cumsum(lengths)[words] - ends, sizes) + np.arange(int(ends[-1]))
+    return spelling[index[:n]]
+
+
 def test_one_word_census_peaks_at_ten_bytes_per_letter():
     # The sorted keys take 8 bytes per letter; packing and counting only
     # add chunk-sized temporaries.
@@ -500,13 +536,29 @@ def test_one_word_census_peaks_at_ten_bytes_per_letter():
     assert _peak_bytes(apparent_counts, corpus, 9) <= 10 * n
 
 
-@pytest.mark.parametrize("c, r_max, words", [(26, 12, 1), (26, 16, 2), (26, 25, 3), (26, 40, 4)])
-def test_census_bytes_bound_the_census_peak(c, r_max, words):
+@pytest.mark.parametrize("c, r_max", [(26, 12), (26, 16), (26, 25), (26, 40)])
+def test_census_bytes_bound_the_census_peak(c, r_max):
     n = 1_000_000
     corpus = build_corpus([np.random.default_rng(11).integers(0, c, size=n, dtype=np.uint8)], c)
-    assert corpus_module._key_layout(c, r_max)[1] == words
     peak = _peak_bytes(compute_statistics, corpus, r_max)
     assert peak <= corpus_module._census_bytes(n, c, r_max)
+
+
+@pytest.mark.parametrize("r_max", [14, 16])
+@pytest.mark.parametrize("text", [zipf_letters, zipf_word_letters])
+def test_census_past_the_key_symbols_peaks_at_25_bytes_per_letter(text, r_max):
+    # Past the 12 symbols a key holds at c = 26, the census adds the order
+    # of one sort to the keys, and then holds only the grams that repeat.
+    n = 1_000_000
+    corpus = build_corpus([text(np.random.default_rng(12), n)], 26)
+    assert _peak_bytes(apparent_counts, corpus, r_max) <= 25 * n
+
+
+def test_census_bytes_bound_the_census_of_a_periodic_text():
+    # Every position repeats at every order, so every step keeps them all.
+    n = 7 * 142_857
+    corpus = build_corpus([np.tile(np.arange(7, dtype=np.uint8), n // 7)], 26)
+    assert _peak_bytes(apparent_counts, corpus, 40) <= corpus_module._census_bytes(n, 26, 40)
 
 
 def test_build_corpus_of_byte_texts_peaks_at_two_bytes_per_letter():
